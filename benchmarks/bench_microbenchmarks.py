@@ -86,6 +86,32 @@ def test_micro_pagetable_admit_evict_cycle(benchmark):
     benchmark(cycle)
 
 
+def test_micro_pagetable_many_buffer_evict(benchmark):
+    """LRU partial eviction on a device holding many buffers.
+
+    The shape of an oversubscribed Fig. 7 run: ~50 registered buffers,
+    half of them resident, each stamped with one clock, and each
+    eviction taking part of the oldest one.  Eviction cost must not
+    grow with the number of buffers, which a single-buffer table hides.
+    """
+    n_buffers, buf_pages, victims = 50, 32, 24
+    table = DevicePageTable(n_buffers // 2 * buf_pages, SPEC.page_size)
+    for b in range(n_buffers):
+        table.register(b, buf_pages)
+    for b in range(0, n_buffers, 2):
+        table.fill_uniform(b, resident=True, clock=table.tick(), touches=1)
+    oldest, reload = 0, np.arange(buf_pages, dtype=np.int64)
+
+    def cycle():
+        table.evict(victims, order="lru")
+        # Re-admit at the oldest clock so every round evicts the same way.
+        table.admit(oldest, reload, write=False, clock=1)
+
+    benchmark(cycle)
+    assert table.free_pages == 0
+    assert table.buffer(oldest).resident_count == buf_pages
+
+
 def test_micro_kernel_pricing(benchmark):
     """Full price_kernel round trip (page sets, faults, admission)."""
     engine = Engine()

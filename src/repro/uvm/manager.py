@@ -319,7 +319,7 @@ class UvmSpace:
         read_mostly = self.advises.for_buffer(buffer_id).read_mostly
         dirty = bool(src_state.dirty[pages].any())
         evicted = table.ensure_free(
-            len(pages), order=self.eviction_order)
+            len(pages), order=self.eviction_order, rng=target.engine.rng)
         table.admit(buffer_id, pages, write=dirty and not read_mostly)
         if not read_mostly:
             best.table.drop(buffer_id)
@@ -362,6 +362,7 @@ class UvmSpace:
         if len(pages) > table.capacity_pages:
             pages = pages[-table.capacity_pages:]
         evicted = table.ensure_free(len(pages), order=self.eviction_order,
+                                    rng=dev.engine.rng,
                                     protect=buffer.buffer_id)
         table.admit(buffer.buffer_id, pages, write=False)
         moved = len(pages) * table.page_size

@@ -8,6 +8,28 @@ The host's DRAM acts as the backing store: a page is either *resident* on
 this device (possibly *dirty*, i.e. the host copy is stale) or lives on the
 host.  Duplicated read-only residency (``cudaMemAdviseSetReadMostly``) is
 modelled by admitting pages with dirtiness suppressed.
+
+Each table keeps one *page arena*: a single ``resident``, ``dirty``,
+``last_access`` and ``access_count`` array for the whole device, and
+every :class:`BufferPages` is a slice view into it.  Eviction therefore
+picks victims among every resident page of the device with a fixed
+handful of vectorised calls, however many buffers are registered.
+
+Arena slices keep the table's buffer-insertion order: a buffer is
+appended at the end of the used prefix, and one registered again after
+``unregister`` goes to the end too.  Eviction's candidate array is thus
+exactly the per-buffer concatenation in insertion order, and since
+``argpartition`` breaks ties between equal clocks by position, the
+arena evicts exactly the pages a loop over the buffers would.
+``unregister`` detaches the departing handle (it keeps private copies)
+and blanks its hole.  The arena is *relaid* when a registration does
+not fit after the used prefix, or when an unregistration leaves it
+larger than twice the live pages plus ``MIN_ARENA_PAGES``: live slices
+are compacted in their order into a fresh arena (``MIN_ARENA_PAGES``
+doubled until the live pages and any newcomer fit) and every live
+handle is repointed at its new slice.  Handles stay valid, and the
+arena never holds more than twice the live pages plus its minimum, however
+long tenants churn.
 """
 
 from __future__ import annotations
@@ -17,13 +39,28 @@ from dataclasses import dataclass
 import numpy as np
 
 
+#: Pages a fresh arena holds; relayouts double from here.
+MIN_ARENA_PAGES = 64
+
+
 class UvmError(Exception):
     """Raised on illegal UVM-state transitions."""
 
 
+def _new_arena(n_pages: int) -> tuple[np.ndarray, ...]:
+    """Blank ``resident``, ``dirty``, ``last_access``, ``access_count``."""
+    return (np.zeros(n_pages, dtype=bool), np.zeros(n_pages, dtype=bool),
+            np.zeros(n_pages, dtype=np.int64),
+            np.zeros(n_pages, dtype=np.int64))
+
+
 @dataclass(slots=True)
 class BufferPages:
-    """Residency bitmaps of one managed buffer on one device."""
+    """Residency bitmaps of one managed buffer on one device.
+
+    While registered, the arrays are views into the table's arena; read
+    them through the handle, since a relayout repoints them.
+    """
 
     buffer_id: int
     n_pages: int
@@ -35,16 +72,10 @@ class BufferPages:
 
     @classmethod
     def empty(cls, buffer_id: int, n_pages: int) -> "BufferPages":
+        """A standalone (arena-free) all-blank state."""
         if n_pages <= 0:
             raise ValueError(f"buffer needs >= 1 page, got {n_pages}")
-        return cls(
-            buffer_id=buffer_id,
-            n_pages=n_pages,
-            resident=np.zeros(n_pages, dtype=bool),
-            dirty=np.zeros(n_pages, dtype=bool),
-            last_access=np.zeros(n_pages, dtype=np.int64),
-            access_count=np.zeros(n_pages, dtype=np.int64),
-        )
+        return cls(buffer_id, n_pages, *_new_arena(n_pages))
 
     @property
     def resident_count(self) -> int:
@@ -82,6 +113,11 @@ class DevicePageTable:
         self.capacity_pages = capacity_pages
         self.page_size = page_size
         self._buffers: dict[int, BufferPages] = {}
+        self._offsets: dict[int, int] = {}   # buffer_id -> arena slice start
+        self._used = 0                       # end of the last live slice
+        self._live_pages = 0                 # sum of registered n_pages
+        self._resident, self._dirty, self._last_access, self._access_count \
+            = _new_arena(MIN_ARENA_PAGES)
         self._resident_total = 0
         self._clock = 0
 
@@ -97,15 +133,68 @@ class DevicePageTable:
                     f"buffer {buffer_id} re-registered with {n_pages} pages, "
                     f"was {existing.n_pages}")
             return
-        pages = BufferPages.empty(buffer_id, n_pages)
-        pages.read_mostly = read_mostly
-        self._buffers[buffer_id] = pages
+        if n_pages <= 0:
+            raise ValueError(f"buffer needs >= 1 page, got {n_pages}")
+        if self._used + n_pages > len(self._resident):
+            self._relayout(n_pages)
+        lo = self._used
+        self._used = lo + n_pages
+        self._live_pages += n_pages
+        self._offsets[buffer_id] = lo
+        self._buffers[buffer_id] = BufferPages(
+            buffer_id, n_pages, *self._slices(lo, n_pages),
+            read_mostly=read_mostly)
 
     def unregister(self, buffer_id: int) -> None:
-        """Drop a buffer; its resident pages are freed without write-back."""
+        """Drop a buffer; its resident pages are freed without write-back.
+
+        The departing handle keeps private copies of its state, and its
+        arena slice is blanked so a later registration may reuse it.
+        """
         pages = self._buffers.pop(buffer_id, None)
-        if pages is not None:
-            self._resident_total -= pages.resident_count
+        if pages is None:
+            return
+        self._resident_total -= pages.resident_count
+        self._live_pages -= pages.n_pages
+        lo = self._offsets.pop(buffer_id)
+        pages.resident, pages.dirty, pages.last_access, pages.access_count \
+            = (view.copy() for view in self._slices(lo, pages.n_pages))
+        for arena in self._arena():
+            arena[lo:lo + pages.n_pages] = 0
+        last = next(reversed(self._buffers.values()), None)
+        self._used = (0 if last is None
+                      else self._offsets[last.buffer_id] + last.n_pages)
+        if len(self._resident) > 2 * self._live_pages + MIN_ARENA_PAGES:
+            self._relayout(0)
+
+    def _arena(self) -> tuple[np.ndarray, ...]:
+        return (self._resident, self._dirty, self._last_access,
+                self._access_count)
+
+    def _slices(self, lo: int, n_pages: int) -> tuple[np.ndarray, ...]:
+        return tuple(arena[lo:lo + n_pages] for arena in self._arena())
+
+    def _relayout(self, extra: int) -> None:
+        """Compact live slices, in order, into an arena with room for
+        ``extra`` more pages, and repoint every live handle."""
+        size = MIN_ARENA_PAGES
+        while size < self._live_pages + extra:
+            size *= 2
+        old = self._arena()
+        self._resident, self._dirty, self._last_access, self._access_count \
+            = _new_arena(size)
+        at = 0
+        for pages in self._buffers.values():
+            lo = self._offsets[pages.buffer_id]
+            n = pages.n_pages
+            views = self._slices(at, n)
+            for src, dst in zip(old, views):
+                dst[:] = src[lo:lo + n]
+            pages.resident, pages.dirty, pages.last_access, \
+                pages.access_count = views
+            self._offsets[pages.buffer_id] = at
+            at += n
+        self._used = at
 
     def is_registered(self, buffer_id: int) -> bool:
         """Whether the buffer is tracked on this device."""
@@ -123,6 +212,11 @@ class DevicePageTable:
         return list(self._buffers.values())
 
     # -- global state --------------------------------------------------------
+
+    @property
+    def arena_pages(self) -> int:
+        """Pages the arena holds: live slices, holes and free tail."""
+        return len(self._resident)
 
     @property
     def resident_pages(self) -> int:
@@ -269,53 +363,45 @@ class DevicePageTable:
                 f"cannot evict {n_pages} pages, only {self._resident_total} "
                 "resident")
 
-        # Candidate pool per buffer: clocks, counts, local indices.
-        entries: list[tuple[np.ndarray, np.ndarray, np.ndarray,
-                            BufferPages, bool]] = []
-        for state in self._buffers.values():
-            idx = np.flatnonzero(state.resident)
-            if len(idx) == 0:
-                continue
-            entries.append((state.last_access[idx],
-                            state.access_count[idx], idx, state,
-                            state.buffer_id == protect))
+        # Candidates are arena positions, hence in buffer-insertion order:
+        # element for element the per-buffer concatenation, so ties
+        # between equal clocks break exactly as they would per buffer.
+        candidates = np.flatnonzero(self._resident[:self._used])
+        lo = self._offsets.get(protect)
+        if lo is None:
+            pools = (candidates,)
+        else:
+            # Two rounds: everything except the protected buffer, then it.
+            a, b = np.searchsorted(
+                candidates, (lo, lo + self._buffers[protect].n_pages))
+            pools = (np.concatenate((candidates[:a], candidates[b:])),
+                     candidates[a:b])
 
         remaining = n_pages
         evicted = dirty = 0
-        # Two rounds: everything except the protected buffer, then it too.
-        for round_protected in (False, True):
+        for pool in pools:
             if remaining <= 0:
                 break
-            pool = [e for e in entries if e[4] == round_protected]
-            if not pool:
+            if len(pool) == 0:
                 continue
-            clocks = np.concatenate([e[0] for e in pool])
-            counts = np.concatenate([e[1] for e in pool])
-            owner = np.concatenate(
-                [np.full(len(e[0]), i) for i, e in enumerate(pool)])
-            local = np.concatenate([e[2] for e in pool])
-            take = min(remaining, len(clocks))
+            take = min(remaining, len(pool))
             if order == "lru":
-                sel = np.argpartition(clocks, take - 1)[:take] \
-                    if take < len(clocks) else np.arange(len(clocks))
+                victims = pool if take == len(pool) else pool[
+                    np.argpartition(self._last_access[pool], take - 1)[:take]]
             elif order == "lfu":
                 # Fewest touches first, oldest clock breaking ties.
-                sel = np.lexsort((clocks, counts))[:take]
+                victims = pool[np.lexsort((self._last_access[pool],
+                                           self._access_count[pool]))[:take]]
             elif order == "random":
                 if rng is None:
                     raise ValueError("random eviction requires an rng")
-                sel = rng.choice(len(clocks), size=take, replace=False)
+                victims = pool[rng.choice(len(pool), size=take,
+                                          replace=False)]
             else:
                 raise ValueError(f"unknown eviction order {order!r}")
-            for i, entry in enumerate(pool):
-                mask = owner[sel] == i
-                pages = local[sel[mask]]
-                if len(pages) == 0:
-                    continue
-                state = entry[3]
-                dirty += int(state.dirty[pages].sum())
-                state.resident[pages] = False
-                state.dirty[pages] = False
+            dirty += int(np.count_nonzero(self._dirty[victims]))
+            self._resident[victims] = False
+            self._dirty[victims] = False
             evicted += take
             remaining -= take
 

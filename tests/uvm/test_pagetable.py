@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.uvm import DevicePageTable, UvmError
+from repro.uvm.pagetable import MIN_ARENA_PAGES
 
 
 @pytest.fixture
@@ -219,3 +220,69 @@ class TestWritebackAndDrop:
         assert table.resident_pages == 3
         assert table.free_pages == 97
         assert table.resident_bytes() == 3 * 4096
+
+
+class TestArena:
+    """Every buffer's state is a slice of one device-wide arena."""
+
+    def test_handle_survives_relayout(self, table):
+        table.register(1, 600)
+        handle = table.buffer(1)
+        table.admit(1, pages(0, 1), write=True, clock=1)
+        before = handle.resident
+        table.register(2, 600)        # overflows the arena: relayout
+        assert not np.shares_memory(handle.resident, before)
+        assert handle.resident[:2].all() and handle.dirty_count == 2
+        # the table's writes reach the old handle ...
+        table.admit(1, pages(5), write=False, clock=2)
+        assert handle.resident[5] and handle.last_access[5] == 2
+        # ... and the handle's writes reach the table
+        handle.last_access[0] = 99
+        table.admit(2, pages(0), write=False, clock=3)
+        table.evict(2, order="lru")
+        assert handle.resident[0] and table.buffer(2).resident[0]
+        assert not handle.resident[1] and not handle.resident[5]
+        assert table.clean(1) == 1
+
+    def test_unregistered_state_is_detached(self, table):
+        table.register(1, 40)
+        table.register(2, 40)
+        table.admit(2, pages(0, 1, 2), write=True, clock=7)
+        gone = table.buffer(2)
+        table.unregister(2)
+        assert gone.resident_count == 3 and gone.last_access[0] == 7
+        table.register(3, 40)         # reuses the blanked slice
+        fresh = table.buffer(3)
+        assert fresh.resident_count == 0 and fresh.dirty_count == 0
+        assert not fresh.last_access.any() and not fresh.access_count.any()
+        for field in ("resident", "dirty", "last_access", "access_count"):
+            assert not np.shares_memory(getattr(gone, field),
+                                        getattr(fresh, field))
+        gone.resident[:] = True       # no longer the table's memory
+        assert table.resident_pages == 0
+        assert table.buffer(3).resident_count == 0
+
+    def test_churn_keeps_arena_bounded(self):
+        def live_pages(t):
+            return sum(p.n_pages for p in t.buffers())
+
+        table = DevicePageTable(capacity_pages=500, page_size=4096)
+        table.register(0, 300)
+        table.register(1, 200)
+        table.admit(0, np.arange(100, dtype=np.int64), write=True)
+        live_ids = []
+        for i in range(2, 1002):
+            # a sliding window of three tenants: the oldest leaves from
+            # the middle of the arena and leaves a hole behind
+            table.register(i, 64 + i % 97)
+            assert table.arena_pages <= 2 * live_pages(table) \
+                + MIN_ARENA_PAGES
+            table.admit(i, pages(0, 1), write=False)
+            live_ids.append(i)
+            if len(live_ids) > 3:
+                table.unregister(live_ids.pop(0))
+                assert table.arena_pages <= 2 * live_pages(table) \
+                    + MIN_ARENA_PAGES
+        assert [p.buffer_id for p in table.buffers()] == [0, 1, *live_ids]
+        assert table.buffer(0).dirty_count == 100
+        assert table.resident_pages == 100 + 2 * len(live_ids)
