@@ -112,8 +112,8 @@ def test_micro_pagetable_many_buffer_evict(benchmark):
     assert table.buffer(oldest).resident_count == buf_pages
 
 
-def test_micro_kernel_pricing(benchmark):
-    """Full price_kernel round trip (page sets, faults, admission)."""
+def _repeated_launch():
+    """A one-GPU space and a 64 MiB read-write launch to repeat."""
     engine = Engine()
     gpu = Gpu(engine, SPEC, node_name="n", index=0)
     space = UvmSpace([gpu])
@@ -128,8 +128,21 @@ def test_micro_kernel_pricing(benchmark):
         KernelSpec("k", flops_per_byte=1.0),
         LaunchConfig((16,), (256,)), (buf,),
         (ArrayAccess(buf, Direction.INOUT),))
+    return space, gpu, launch
 
+
+def test_micro_kernel_pricing(benchmark):
+    """price_kernel on a repeated launch: a pricing-memo hit."""
+    space, gpu, launch = _repeated_launch()
     benchmark(lambda: space.price_kernel(gpu, launch))
+    assert space.memo_hits > 0
+
+
+def test_micro_kernel_pricing_live(benchmark):
+    """The live pricer's round trip (page sets, faults, admission)."""
+    space, gpu, launch = _repeated_launch()
+    benchmark(lambda: space._price_live(gpu, launch))
+    assert space.memo_hits == 0
 
 
 def test_micro_engine_event_throughput(benchmark):

@@ -15,12 +15,13 @@ Two experiments against :class:`repro.serve.GroutService` (the core the
   ``SATURATION_FACTOR`` x the idle service time is the saturation
   point.
 * **Repeated hot tenant** — one tenant resubmits the *same*
-  oversubscribed program back to back, cache-off vs cache-on
-  (``RuntimeConfig(plan_cache=True)``).  This cell is wall-clock: the
-  plan cache's schedule replay + kernel-cost replay must deliver at
-  least ``SPEEDUP_FLOOR``x session throughput on the hot tenant, with
-  off/on trials interleaved and medians reported so machine noise
-  cannot fake (or hide) the win.
+  oversubscribed program back to back on a reference service (no plan
+  cache, every launch priced live) and on the default build with
+  ``RuntimeConfig(plan_cache=True)`` (schedule replay plus the UVM
+  pricing memo).  This cell is wall-clock: the two fast paths together
+  must deliver at least ``SPEEDUP_FLOOR``x session throughput on the
+  hot tenant, with reference/on trials interleaved and medians reported
+  so machine noise cannot fake (or hide) the win.
 
 Usage::
 
@@ -85,7 +86,7 @@ REPEAT_SESSIONS_QUICK = 12
 REPEAT_SESSIONS_FULL = 30
 REPEAT_TRIALS_QUICK = 3
 REPEAT_TRIALS_FULL = 5
-SPEEDUP_FLOOR = 2.0         # cache-on must at least double throughput
+SPEEDUP_FLOOR = 2.0         # cache-on must at least double the reference
 
 
 def _service() -> GroutService:
@@ -157,9 +158,17 @@ def run_open_loop(rate: float, n_requests: int, seed: int = 7) -> dict:
 
 
 def _hot_service(plan_cache: bool) -> GroutService:
-    return GroutService(
+    """The on side (``plan_cache=True``, default pricing) or the
+    reference side: no plan cache and every worker's kernel pricing
+    pointed at the live pricer, around the pricing memo."""
+    service = GroutService(
         RuntimeConfig(policy="round-robin", plan_cache=plan_cache),
         tenant_quota=64, max_sessions=1024)
+    if not plan_cache:
+        for scheduler in service.runtime.controller.workers.values():
+            uvm = scheduler.node.uvm
+            uvm.price_kernel = uvm._price_live
+    return service
 
 
 def _hot_spec(session: str) -> WorkloadSpec:
@@ -181,13 +190,15 @@ def _time_hot_sessions(service: GroutService, n_sessions: int,
 
 
 def run_repeated(n_sessions: int, trials: int) -> dict:
-    """The hot-tenant cell: cache-off vs cache-on session throughput.
+    """The hot-tenant cell: reference vs cache-on session throughput.
 
-    One persistent service per mode; each mode runs one warm-up session
-    (the cache-on service records its plan there), then ``trials``
-    timed batches of ``n_sessions``, off/on interleaved so drift in
-    machine load hits both modes equally.  Throughput is computed from
-    the *median* batch wall time.
+    The ``off`` fields are the reference side (no plan cache, live
+    pricing); ``on`` is the default build with the plan cache.  One
+    persistent service per side; each runs one warm-up session (the
+    cache-on service records its plan and fills its pricing memo
+    there), then ``trials`` timed batches of ``n_sessions``, interleaved
+    so drift in machine load hits both sides equally.  Throughput is
+    computed from the *median* batch wall time.
     """
     names = itertools.count()
     with _hot_service(False) as off_service, \
@@ -204,8 +215,8 @@ def run_repeated(n_sessions: int, trials: int) -> dict:
         hits = metrics.family("grout_plancache_hits_total").labels().value
         misses = metrics.family(
             "grout_plancache_misses_total").labels().value
-        replays = metrics.family(
-            "grout_plancache_cost_replays_total").labels().value
+        memo_hits = metrics.family(
+            "grout_uvm_memo_hits_total").value_sum()
     off_med = float(np.median(off_walls))
     on_med = float(np.median(on_walls))
     return {
@@ -220,7 +231,7 @@ def run_repeated(n_sessions: int, trials: int) -> dict:
         "on_sessions_per_sec": round(n_sessions / on_med, 2),
         "speedup": round(off_med / on_med, 3),
         "plancache": {"hits": hits, "misses": misses,
-                      "cost_replays": replays},
+                      "memo_hits": memo_hits},
     }
 
 
@@ -390,10 +401,10 @@ def test_open_loop_latency_grows_past_saturation():
 def test_repeated_hot_tenant_speeds_up_with_the_plan_cache():
     cell = run_repeated(REPEAT_SESSIONS_QUICK, REPEAT_TRIALS_QUICK)
     # Every repeat after the warm-up hit the cache, and the kernel
-    # launches were priced from recorded cost transitions.
+    # launches were served by the pricing memo.
     assert cell["plancache"]["misses"] == 1
     assert cell["plancache"]["hits"] >= REPEAT_SESSIONS_QUICK
-    assert cell["plancache"]["cost_replays"] > 0
+    assert cell["plancache"]["memo_hits"] > 0
     # The CLI gate enforces SPEEDUP_FLOOR against interleaved medians;
     # under pytest (possibly parallel, loaded machines) assert a
     # looser floor so scheduler noise cannot flake the suite.
@@ -457,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
           f"hot tenant {repeated['speedup']:g}x with the plan cache "
           f"({repeated['off_sessions_per_sec']:g} -> "
           f"{repeated['on_sessions_per_sec']:g} sessions/s, "
-          f"{repeated['plancache']['cost_replays']} cost replays)",
+          f"{repeated['plancache']['memo_hits']:g} memo hits)",
           file=sys.stderr)
 
     if args.check:

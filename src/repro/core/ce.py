@@ -58,13 +58,6 @@ class ComputationalElement:
     #: Position in the owning session's program order — the namespaced
     #: CE id (``ce_id`` stays globally unique across sessions).
     session_seq: int | None = None
-    #: Plan-cache kernel-cost hook (``(uvm, gpu, launch) -> KernelCost``):
-    #: when set, the intra-node scheduler routes UVM pricing through it —
-    #: recorders wrap the live pricer to capture the launch's effect,
-    #: replayers apply a recorded transition.  ``None`` (the default and
-    #: the whole cache-off path) prices live.
-    cost_probe: "Callable[..., object] | None" = field(
-        default=None, repr=False, compare=False)
     #: Lazy caches of the access-set views below.  ``accesses`` is
     #: immutable after construction, so the derived lists are computed at
     #: most once per CE instead of on every scheduler/pricing lookup.

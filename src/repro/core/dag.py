@@ -509,6 +509,28 @@ class DependencyDag:
 
     # -- maintenance ------------------------------------------------------------
 
+    def forget_buffer(self, buffer_id: int) -> None:
+        """Drop a freed buffer's frontier (no-op for unknown buffers).
+
+        Its last writer, sealed cohorts and readers leave their roles for
+        the buffer and departures are settled: a node whose last role
+        this was retires and becomes prunable once complete — even a last
+        writer, which :meth:`prune_completed` never evicts.  A freed
+        buffer takes no further accesses, so no future edge could attach
+        through it.  This only shrinks the frontier, so membership stays
+        an interval and the bounded ancestor-set argument holds.
+        """
+        bf = self._buffers.pop(buffer_id, None)
+        if bf is None:
+            return
+        departed: list[int] = []
+        if bf.last_writer is not None:
+            self._leave(bf.last_writer.ce_id, departed)
+        for node in (*bf.cohorts, *bf.readers):
+            self._leave(node.ce_id, departed)
+        self._settle_departed(departed)
+        self._frontier_dirty = True
+
     def mark_done(self, ce: ComputationalElement) -> None:
         """Record a CE's completion the moment it happens.
 

@@ -111,11 +111,13 @@ class GrCudaRuntime:
         return array
 
     def free(self, array: ManagedArray) -> None:
-        """Release an array from the UVM space."""
+        """Release an array from the UVM space and both DAGs."""
         uvm = self.node.uvm
         assert uvm is not None
         if uvm.is_registered(array.buffer_id):
             uvm.unregister(array.buffer_id)
+        self.dag.forget_buffer(array.buffer_id)
+        self.scheduler.local_dag.forget_buffer(array.buffer_id)
 
     # -- computation --------------------------------------------------------------
 

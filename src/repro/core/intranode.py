@@ -71,12 +71,15 @@ class IntraNodeScheduler:
                 "grout_uvm_writeback_bytes_total")
             self._m_uvm_thrash = self.metrics.family(
                 "grout_uvm_thrashing_launches_total")
+            self._m_uvm_memo = self.metrics.family(
+                "grout_uvm_memo_hits_total")
         else:
             self._m_launches = self._m_prefetches = None
             self._m_kernel_seconds = self._m_pending = None
             self._m_streams = self._m_osf = None
             self._m_uvm_cold = self._m_uvm_refault = None
             self._m_uvm_writeback = self._m_uvm_thrash = None
+            self._m_uvm_memo = None
         # Bound label handles, cached on first use: ``family.labels()``
         # validates names and takes the registry lock on every call — too
         # much for per-event paths.  Lazy (not eager) so children only
@@ -87,9 +90,11 @@ class IntraNodeScheduler:
         self._h_prefetches: dict[int, object] = {}
         self._h_kernel_seconds = None
         self._h_osf = None
-        # (cold, refault, writeback, thrash) handles — one tuple per
-        # node: the (node, backend) labels never vary within a scheduler.
+        # (cold, refault, writeback, thrash, memo hits) handles — one
+        # tuple per node: the (node, backend) labels never vary within a
+        # scheduler.
         self._h_uvm = None
+        self._memo_hits_seen = 0
         self._prune_every = prune_every
         self._completions = 0
         self._pending_load: dict[int, float] = {g.gpu_id: 0.0
@@ -134,7 +139,8 @@ class IntraNodeScheduler:
             self._h_osf.set(self.node.uvm.oversubscription)
 
     def _note_uvm_cost(self, cost: KernelCost) -> None:
-        """Publish one priced launch's fault traffic, keyed by backend."""
+        """Publish one priced launch's fault traffic and the node's
+        pricing-memo hits, keyed by backend."""
         if self._m_uvm_cold is None or self.node.uvm is None:
             return
         handles = self._h_uvm
@@ -146,6 +152,7 @@ class IntraNodeScheduler:
                 self._m_uvm_refault.labels(**labels),
                 self._m_uvm_writeback.labels(**labels),
                 self._m_uvm_thrash.labels(**labels),
+                self._m_uvm_memo.labels(**labels),
             )
         if cost.cold_bytes:
             handles[0].inc(cost.cold_bytes)
@@ -155,6 +162,10 @@ class IntraNodeScheduler:
             handles[2].inc(cost.writeback_bytes)
         if cost.thrashing:
             handles[3].inc()
+        hits = self.node.uvm.memo_hits
+        if hits != self._memo_hits_seen:
+            handles[4].inc(hits - self._memo_hits_seen)
+            self._memo_hits_seen = hits
 
     # -- Algorithm 2 -----------------------------------------------------------
 
@@ -231,13 +242,7 @@ class IntraNodeScheduler:
             for array in ce.arrays:
                 uvm.register(array)
             self._note_oversubscription()
-            probe = ce.cost_probe
-            if probe is None:
-                cost = uvm.price_kernel(gpu, launch)
-            else:
-                # Plan-cache hook: record the launch's effect alongside
-                # live pricing, or replay a recorded transition.
-                cost = probe(uvm, gpu, launch)
+            cost = uvm.price_kernel(gpu, launch)
             self._note_uvm_cost(cost)
             self.kernel_costs.append((ce, cost))
             totals = self.kernel_totals.get(ce.kernel.name)

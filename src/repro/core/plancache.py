@@ -48,13 +48,11 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.ce import CeKind
 from repro.core.pipeline import FastMove
 from repro.core.pipeline.base import SchedulingState
-from repro.uvm.manager import KernelCostRecord, capture_kernel_cost
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.arrays import ManagedArray
@@ -100,13 +98,6 @@ class SchedulePlan:
     epoch: int
     #: Rough retained-size estimate (the ``grout_plancache_bytes`` gauge).
     nbytes: int
-    #: Recorded kernel-launch costs, by step position: the UVM-layer
-    #: transition each launch applied (page residency, clock, pricing).
-    #: Sparse — launches whose effect was not replayable from counts
-    #: (partial coverage, evictions, thrashing …) simply price live at
-    #: replay; see :func:`repro.uvm.manager.capture_kernel_cost`.
-    launch_costs: dict[int, KernelCostRecord] = field(
-        default_factory=dict)
 
 
 def _normalize(ce: "ComputationalElement", index_of: dict,
@@ -183,8 +174,6 @@ class PlanCache:
         self._invalidations = registry.family(
             "grout_plancache_invalidations_total")
         self._bytes = registry.family("grout_plancache_bytes").labels()
-        self._cost_replays = registry.family(
-            "grout_plancache_cost_replays_total").labels()
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -231,10 +220,6 @@ class PlanCache:
     def count_invalidation(self, reason: str) -> None:
         """Count one invalidation/fallback under its reason label."""
         self._invalidations.labels(reason=reason).inc()
-
-    def note_cost_replay(self) -> None:
-        """Count one kernel launch served from a recorded cost."""
-        self._cost_replays.inc()
 
     def invalidate_all(self, reason: str) -> None:
         """Structural change: bump the epoch and drop every plan."""
@@ -284,7 +269,6 @@ class _PlanRecorder:
         self._steps: list[PlanStep] = []
         self._moves: list[str | None] = []
         self._token: tuple | None = None
-        self._launch_costs: dict[int, KernelCostRecord] = {}
 
     def begin(self, ce: "ComputationalElement") -> None:
         """Normalize the CE before the pipeline mutates it."""
@@ -303,23 +287,6 @@ class _PlanRecorder:
             self._abort()
             return
         self._token = token
-        if ce.kind is CeKind.KERNEL:
-            # Ride along the launch's UVM pricing (which happens later,
-            # at simulated execution time) and capture its effect for
-            # the cost-replay fast path.  The closure checks it still
-            # speaks for the session — an aborted recording (or a
-            # finalized session) degrades to plain live pricing.
-            position = len(self._steps)
-
-            def probe(uvm, gpu, launch, recorder=self, pos=position):
-                record, cost = capture_kernel_cost(
-                    uvm, gpu, launch, recorder._index_of)
-                if (record is not None and
-                        recorder.session._plan_recorder is recorder):
-                    recorder._launch_costs[pos] = record
-                return cost
-
-            ce.cost_probe = probe
 
     def note_move(self, src: str | None) -> None:
         """Movement-stage hook: one array's action, declaration order."""
@@ -352,7 +319,6 @@ class _PlanRecorder:
     def _abort(self) -> None:
         self.session._plan_recorder = None
         self._steps.clear()
-        self._launch_costs.clear()
 
     def commit(self) -> None:
         """Store the finished plan (session close hook)."""
@@ -361,11 +327,8 @@ class _PlanRecorder:
                 or not cache.recordable()):
             return
         steps = tuple(self._steps)
-        costs = dict(self._launch_costs)
-        nbytes = _estimate_nbytes(steps) + 480 * len(costs)
-        cache.store(self.key,
-                    SchedulePlan(steps, cache.epoch, nbytes,
-                                 launch_costs=costs))
+        cache.store(self.key, SchedulePlan(steps, cache.epoch,
+                                           _estimate_nbytes(steps)))
 
 
 class _PlanReplayer:
@@ -390,10 +353,6 @@ class _PlanReplayer:
         self.epoch = plan.epoch
         self.pos = 0
         self._index_of: dict[int, int] = {}
-        #: Dense reverse of ``_index_of``: session-local index -> live
-        #: buffer id, grown in first-appearance order alongside it.
-        #: Cost records resolve their buffers through this list.
-        self._buffer_ids: list[int] = []
         controller = cache.controller
         self._controller = controller
         self._gate = controller.fair_share_gate
@@ -453,11 +412,6 @@ class _PlanReplayer:
             return self._fallback("shared-buffer")
         if token != step.token:
             return self._fallback("divergence", divergence=True)
-        ids = self._buffer_ids
-        for access in ce.accesses:
-            bid = access.buffer.buffer_id
-            if self._index_of[bid] == len(ids):
-                ids.append(bid)
         node = step.node
         home = controller.cluster.controller.name
         if node != home and node not in controller.workers:
@@ -522,23 +476,6 @@ class _PlanReplayer:
                 stats.count_transfer(array.nbytes)
             if ev is not None:
                 waits.append(ev)
-        # Kernel-cost replay: when the recording captured this launch's
-        # UVM transition, skip the page-set/fault/degradation math at
-        # execution time and apply the recorded effect.  Guard failure
-        # inside replay_kernel degrades to live pricing, per launch.
-        record = self.plan.launch_costs.get(pos)
-        if record is not None:
-            cache_ref = cache
-
-            def probe(uvm, gpu, launch, record=record,
-                      cache=cache_ref, ids=self._buffer_ids):
-                cost = uvm.replay_kernel(gpu, launch, record, ids)
-                if cost is not None:
-                    cache.note_cost_replay()
-                    return cost
-                return uvm.price_kernel(gpu, launch)
-
-            ce.cost_probe = probe
         # Coherence + dispatch stay fully live.
         state = self._coherence.process(ce, state)
         state = self._dispatch.process(ce, state)

@@ -22,6 +22,7 @@ from repro.sim.faults import LINK_DEGRADE, TRANSFER_FLAKE, WORKER_CRASH
 from repro.core.arrays import ManagedArray
 from repro.core.ce import CeKind, ComputationalElement
 from repro.core.controller import Controller
+from repro.core.intranode import IntraNodeScheduler
 from repro.core.policies import Policy, RoundRobinPolicy
 from repro.core.session import Session
 
@@ -214,9 +215,14 @@ class GroutRuntime:
         return array
 
     def free(self, array: ManagedArray) -> None:
-        """Drop an array from the coherence directory and every worker."""
+        """Drop an array from the coherence directory, the DAGs and every
+        worker."""
         for worker in self.controller.workers.values():
             worker.drop_replica(array)
+            if isinstance(worker, IntraNodeScheduler):
+                # A shard worker's local DAG lives in its own process.
+                worker.local_dag.forget_buffer(array.buffer_id)
+        self.controller.dag.forget_buffer(array.buffer_id)
         self.controller.directory.forget(array)
 
     # -- computation -----------------------------------------------------------------

@@ -127,6 +127,10 @@ UVM_METRICS: tuple[MetricSpec, ...] = (
                "Kernel launches priced on the thrashing path (working "
                "set exceeded device memory), per node and paging "
                "backend.", labels=("node", "backend")),
+    MetricSpec("grout_uvm_memo_hits_total", "counter",
+               "Kernel launches the pricing memo served from a recorded "
+               "transition instead of the live pricer, per node and "
+               "paging backend.", labels=("node", "backend")),
 )
 
 #: Per-CE profiling (repro.obs.ceprofile) — cross-layer attribution.
@@ -183,9 +187,6 @@ PLANCACHE_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec("grout_plancache_bytes", "gauge",
                "Estimated bytes retained by stored schedule plans.",
                unit="bytes"),
-    MetricSpec("grout_plancache_cost_replays_total", "counter",
-               "Kernel launches whose UVM pricing was served from a "
-               "recorded cost transition instead of the live pricer."),
 )
 
 #: The `grout serve` daemon (repro.serve) — request accounting.

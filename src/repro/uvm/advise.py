@@ -66,7 +66,10 @@ class AdviseRegistry:
 
     def for_buffer(self, buffer_id: int) -> AdviseSet:
         """The (lazily created) advise set of a buffer."""
-        return self._advises.setdefault(buffer_id, AdviseSet())
+        advise_set = self._advises.get(buffer_id)
+        if advise_set is None:
+            advise_set = self._advises[buffer_id] = AdviseSet()
+        return advise_set
 
     def advise(self, buffer_id: int, advise: Advise,
                device: int | None = None) -> None:

@@ -8,11 +8,23 @@ factor) that drives the calibrated degradation curves.
 Pressure of a device = bytes of all buffers ever touched on it (and still
 alive there) ÷ device capacity — the closest observable analogue of the
 paper's "allocated vs. available memory" factor at per-GPU granularity.
+
+Kernel pricing has one fast path, the *pricing memo*.  A launch that
+cannot evict (its page total fits the target's free pages), with default
+advises, full-coverage accesses and all-or-none residency and dirtiness
+on every device, is a function of an id-free count-level key; the memo
+maps that key to the transition live pricing applied the first time
+(clock deltas, per-(buffer, device) page states, the ``KernelCost``) and
+re-applies it with slice-wide writes.  Steady loops reach only a handful
+of keys, so almost every launch skips page sets, fault batching and
+degradation arithmetic, while the simulation stays identical to live
+pricing launch for launch.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +39,10 @@ from repro.uvm.migration import MigrationEngine
 from repro.uvm.pagetable import DevicePageTable, UvmError
 from repro.uvm.perfmodel import KernelCost, KernelPricer
 from repro.uvm.prefetch import PrefetchConfig
+
+#: Bound on the pricing memo's recorded transitions (least recently used
+#: out first).  Keys are id-free, so a steady workload revisits a handful.
+MEMO_CAPACITY = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,6 +143,7 @@ class UvmSpace:
             gpu, self.params, self.prefetch_config, self.eviction_order,
             rng, backend=self.backend)
             for gpu in gpus}
+        self._tables = tuple(dev.table for dev in self._devices.values())
         self._buffers: dict[int, int] = {}   # buffer_id -> nbytes
         # Incremental totals: register/unregister/advise adjust these so
         # the OSF — consulted on every kernel launch — is O(1) instead of
@@ -135,6 +152,10 @@ class UvmSpace:
         self._capacity = sum(g.spec.memory_bytes for g in gpus)
         self._managed_total = 0
         self._pinned_total = 0
+        #: The pricing memo: memo key -> recorded transition, LRU-bounded
+        #: by ``MEMO_CAPACITY``; ``memo_hits`` counts launches it served.
+        self._memo: OrderedDict[tuple, KernelCostRecord] = OrderedDict()
+        self.memo_hits = 0
 
     # -- buffer registry -----------------------------------------------------
 
@@ -242,7 +263,91 @@ class UvmSpace:
         bytes ÷ total GPU memory) — the paper's "allocated vs. available"
         factor: the whole allocation competes for the node's device memory
         regardless of which GPU a particular kernel lands on.
+
+        Memo-eligible launches (see :meth:`_memo_key`) go through the
+        pricing memo: a hit applies the recorded transition
+        (:meth:`replay_kernel`), a miss prices live and records.  The
+        memo only ever serves transitions the live pricer produced from
+        an identical key, so both paths leave identical state.
         """
+        probe = self._memo_key(self._device(gpu), launch)
+        if probe is None:
+            return self._price_live(gpu, launch)
+        key, buffer_ids = probe
+        cost = self.replay_kernel(gpu, key, buffer_ids)
+        if cost is None:
+            pre = _pre_fingerprint(self, buffer_ids)
+            cost = self._price_live(gpu, launch)
+            record = None if pre is None else _close_record(self, pre, cost)
+            if record is not None:
+                self._memo[key] = record
+                if len(self._memo) > MEMO_CAPACITY:
+                    self._memo.popitem(last=False)
+        return cost
+
+    def _memo_key(self, dev: _DeviceUvm, launch: KernelLaunch
+                  ) -> tuple[tuple, list[int]] | None:
+        """The launch's id-free memo key plus its buffer ids in first-use
+        order (the key's launch-local indices), or ``None`` when the
+        launch is not memo-eligible.
+
+        The key holds everything the live pricer reads: the GPU, the page
+        size, the flops, the node OSF, each access's shape over
+        launch-local buffer indices, and each (buffer, device) state as
+        unregistered (-1) or ``2 * resident + dirty`` with both
+        all-or-none.  Eligible launches have default advises,
+        full-coverage accesses and a page total no larger than the target
+        GPU's free pages.  The page total is checked from buffer sizes
+        alone, before any state is read: such a launch cannot evict, so
+        its effect stays inside its own buffers — and oversubscribed
+        launches skip the memo for the price of one sum.
+        """
+        table = dev.table
+        page_size = table.page_size
+        index: dict[int, int] = {}
+        sizes: list[int] = []
+        accesses = []
+        for access in launch.accesses:
+            buffer = access.buffer
+            i = index.get(buffer.buffer_id)
+            if i is None:
+                i = index[buffer.buffer_id] = len(sizes)
+                sizes.append(pages_for_bytes(buffer.nbytes, page_size))
+            if (access.fraction < 1.0
+                    and touched_page_count(access, page_size) < sizes[i]):
+                return None
+            accesses.append((i, access.pattern, access.fraction,
+                             access.direction, access.passes, buffer.nbytes))
+        if sum(sizes) > table.free_pages:
+            return None
+        states = []
+        for bid, n_pages in zip(index, sizes):
+            self._require(bid)
+            advise_set = self.advises.for_buffer(bid)
+            if advise_set.preferred_host or advise_set.read_mostly:
+                return None
+            for t in self._tables:
+                if not t.is_registered(bid):
+                    states.append(-1)
+                    continue
+                state = t.buffer(bid)
+                res = state.resident_count
+                if res == 0:
+                    states.append(0)
+                    continue
+                if res != n_pages:
+                    return None
+                dirty = state.dirty_count
+                if dirty not in (0, n_pages):
+                    return None
+                states.append(3 if dirty else 2)
+        key = (dev.gpu.gpu_id, page_size, launch.flops, self.oversubscription,
+               tuple(accesses), tuple(states))
+        return key, list(index)
+
+    def _price_live(self, gpu: Gpu, launch: KernelLaunch) -> KernelCost:
+        """The live pricer: page sets, peer pulls, faults and degradation
+        from the current state (the memo's reference)."""
         dev = self._device(gpu)
         page_size = dev.table.page_size
         peer_seconds = 0.0
@@ -278,6 +383,51 @@ class UvmSpace:
         stats.peer_bytes += cost.peer_bytes
         if cost.thrashing:
             stats.thrashing_launches += 1
+        return cost
+
+    def replay_kernel(self, gpu: Gpu, key: tuple,
+                      buffer_ids: list[int]) -> KernelCost | None:
+        """The pricing memo's hit path: apply the transition recorded
+        under ``key`` instead of pricing live.
+
+        ``buffer_ids`` resolves the record's launch-local indices.  The
+        clocks advance by the recorded deltas and each changed (buffer,
+        device) slice gets its recorded all-or-none state with slice-wide
+        writes; the pricer's seed and ordinals and the stats move as live
+        pricing would have moved them.  Returns ``None`` — with nothing
+        mutated — when ``key`` was never recorded.
+        """
+        record = self._memo.get(key)
+        if record is None:
+            return None
+        self._memo.move_to_end(key)
+        dev = self._devices[gpu.gpu_id]
+        tables = self._tables
+        base = [t.clock for t in tables]
+        for table, delta in zip(tables, record.clock_delta):
+            if delta:
+                table.advance_clock(delta)
+        ordinals = dev.pricer._ordinals
+        for b, bid in zip(record.buffers, buffer_ids):
+            dev.touch(bid, b.nbytes)
+            for table, clock, fill in zip(tables, base, b.fills):
+                if fill is None:
+                    continue
+                register, resident, dirty, stamp, touches = fill
+                if register:
+                    table.register(bid, b.n_pages)
+                table.fill_uniform(
+                    bid, resident=resident, dirty=dirty,
+                    clock=None if stamp is None else clock + stamp,
+                    touches=touches)
+            ordinals.setdefault(bid, len(ordinals))
+        dev.pricer._seed += 1
+        cost = record.cost
+        stats = self.stats
+        stats.kernel_launches += 1
+        stats.cold_bytes += cost.cold_bytes
+        stats.peer_bytes += cost.peer_bytes
+        self.memo_hits += 1
         return cost
 
     def _peer_migrate(self, target: _DeviceUvm,
@@ -392,103 +542,6 @@ class UvmSpace:
         self.stats.invalidated_bytes += invalidated
         return HostAccessCost(seconds, wb_bytes, invalidated)
 
-    # -- kernel-cost replay (plan cache) -----------------------------------------
-
-    def replay_kernel(self, gpu: Gpu, launch: KernelLaunch,
-                      record: "KernelCostRecord",
-                      buffer_ids: list[int]) -> KernelCost | None:
-        """Apply a recorded launch transition instead of pricing it.
-
-        The plan cache's cost-replay fast path: when a hot tenant
-        resubmits a program, every launch re-derives the same page-set
-        math, fault batching and degradation arithmetic over fresh
-        buffers.  :func:`capture_kernel_cost` recorded the launch's full
-        effect — per-device residency transitions, clock movement and
-        the final :class:`KernelCost` — as all-or-nothing page states;
-        this method re-validates that the live space is in the recorded
-        pre-state (O(1) counts per buffer × device, no page-set
-        construction) and, when it is, applies the recorded post-state
-        with slice-wide page-table writes and returns the recorded cost.
-
-        Returns ``None`` — with *nothing mutated* — on any mismatch;
-        the caller then falls back to :meth:`price_kernel`, which
-        reproduces the correct behaviour from live state.
-        ``buffer_ids`` maps the record's session-local buffer indices to
-        this session's live buffer ids.
-        """
-        devices = sorted(self._devices)
-        if (tuple(devices) != record.device_ids
-                or gpu.gpu_id != record.gpu_id
-                or self.oversubscription != record.pre_osf):
-            return None
-        tables = [self._devices[d].table for d in devices]
-        if any(t.page_size != record.page_size for t in tables):
-            return None
-        admit_need = [0] * len(devices)
-        resolved: list[int] = []
-        for b in record.buffers:
-            if b.index >= len(buffer_ids):
-                return None
-            bid = buffer_ids[b.index]
-            resolved.append(bid)
-            if self._buffers.get(bid) != b.nbytes:
-                return None
-            advise_set = self.advises.for_buffer(bid)
-            if advise_set.preferred_host or advise_set.read_mostly:
-                return None
-            for d, table in enumerate(tables):
-                reg, res, dirty, _ac = b.pre[d]
-                if table.is_registered(bid) != bool(reg):
-                    return None
-                if reg:
-                    state = table.buffer(bid)
-                    if (state.n_pages != b.n_pages
-                            or state.resident_count != res
-                            or state.dirty_count != dirty):
-                        return None
-                admit_need[d] += max(0, b.post[d][1] - res)
-        for d, table in enumerate(tables):
-            if admit_need[d] > table.free_pages:
-                return None
-
-        # -- every guard passed; apply the recorded transition ---------------
-        target = devices.index(gpu.gpu_id)
-        dev = self._devices[gpu.gpu_id]
-        base = [t.clock for t in tables]
-        for d, table in enumerate(tables):
-            if record.clock_delta[d]:
-                table.advance_clock(record.clock_delta[d])
-        for b, bid in zip(record.buffers, resolved):
-            dev.touch(bid, b.nbytes)
-            for d, table in enumerate(tables):
-                reg, res, dirty, ac = b.pre[d]
-                reg_post, res_post, dirty_post, ac_post = b.post[d]
-                if not reg_post:
-                    continue
-                if not table.is_registered(bid):
-                    table.register(bid, b.n_pages)
-                touches = ac_post - ac
-                if (res_post == res and dirty_post == dirty
-                        and touches == 0):
-                    continue
-                stamp = b.stamp[d]
-                table.fill_uniform(
-                    bid,
-                    resident=res_post == b.n_pages,
-                    dirty=(None if dirty_post == dirty
-                           else dirty_post == b.n_pages),
-                    clock=base[d] + stamp if stamp >= 0 else None,
-                    touches=touches)
-            dev.pricer._ordinals.setdefault(bid,
-                                            len(dev.pricer._ordinals))
-        dev.pricer._seed += 1
-        cost = record.cost
-        stats = self.stats
-        stats.kernel_launches += 1
-        stats.cold_bytes += cost.cold_bytes
-        stats.peer_bytes += cost.peer_bytes
-        return cost
-
     def writeback(self, buffer_id: int) -> HostAccessCost:
         """Flush dirty pages of a buffer so the host copy is current."""
         return self.host_access(buffer_id, write=False)
@@ -502,37 +555,31 @@ class UvmSpace:
         return dropped
 
 
-# -- kernel-cost recording (plan cache) ---------------------------------------
+# -- pricing-memo records -----------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class BufferTransition:
     """One buffer's recorded page-state transition across a launch.
 
-    Per device (ordered like the record's ``device_ids``): ``pre`` and
-    ``post`` are ``(registered, resident_pages, dirty_pages,
-    access_count)`` with page counts restricted to all-or-nothing (0 or
-    ``n_pages``) and a *uniform* per-page access count — the invariant
-    that makes count equality equivalent to exact state equality.
-    ``stamp`` is the final ``last_access`` value as an offset from the
-    device's pre-launch clock (−1: the launch never stamped it).
+    ``fills`` holds one entry per device (in the space's device order):
+    ``None`` when the launch left the buffer's slice there unchanged,
+    else ``(register, resident, dirty, stamp, touches)`` — register the
+    buffer first, then :meth:`DevicePageTable.fill_uniform` it with the
+    new all-or-none residency and dirtiness (``None``: unchanged), the
+    final ``last_access`` as an offset from the device's pre-launch
+    clock (``None``: not stamped) and the uniform access-count delta.
     """
 
-    index: int              # session-local buffer index (plan-cache namespace)
     nbytes: int
     n_pages: int
-    pre: tuple[tuple[int, int, int, int], ...]
-    post: tuple[tuple[int, int, int, int], ...]
-    stamp: tuple[int, ...]
+    fills: tuple[tuple[bool, bool | None, bool | None, int | None, int]
+                 | None, ...]
 
 
 @dataclass(frozen=True, slots=True)
 class KernelCostRecord:
     """A launch's full recorded effect: transitions + clock + cost."""
 
-    gpu_id: int
-    device_ids: tuple[int, ...]
-    page_size: int
-    pre_osf: float
     clock_delta: tuple[int, ...]
     buffers: tuple[BufferTransition, ...]
     cost: KernelCost
@@ -566,111 +613,64 @@ def _device_state(table: DevicePageTable, buffer_id: int,
     return (1, res, dirty, ac)
 
 
-def capture_kernel_cost(space: UvmSpace, gpu: Gpu, launch: KernelLaunch,
-                        index_of: dict[int, int]
-                        ) -> tuple[KernelCostRecord | None, KernelCost]:
-    """Price a launch live and, when possible, record its transition.
-
-    Wraps :meth:`UvmSpace.price_kernel` — the returned cost and every
-    side effect are exactly the live path's.  A
-    :class:`KernelCostRecord` is additionally returned when the
-    launch's effect is replayable from counts alone: full-coverage
-    accesses, default advises, all-or-nothing pre/post residency on
-    every device, no evictions, write-backs, refaults or thrashing.
-    ``index_of`` maps live buffer ids to session-local indices (the
-    plan cache's cross-session buffer namespace).
-    """
-    record = _pre_fingerprint(space, gpu, launch, index_of)
-    cost = space.price_kernel(gpu, launch)
-    if record is None:
-        return None, cost
-    return _close_record(space, gpu, record, cost), cost
-
-
-def _pre_fingerprint(space: UvmSpace, gpu: Gpu, launch: KernelLaunch,
-                     index_of: dict[int, int]) -> dict | None:
-    devices = sorted(space._devices)
-    tables = [space._devices[d].table for d in devices]
-    page_size = tables[0].page_size
-    if any(t.page_size != page_size for t in tables):
-        return None
-    order: list[int] = []
-    buffers: dict[int, dict] = {}
-    for access in launch.accesses:
-        bid = access.buffer.buffer_id
-        index = index_of.get(bid)
-        if index is None:
+def _pre_fingerprint(space: UvmSpace, buffer_ids: list[int]) -> dict | None:
+    """Count-level snapshot of a memo miss's buffers before live pricing
+    (``None``: not recordable)."""
+    tables = space._tables
+    buffers = []
+    for bid in buffer_ids:
+        nbytes = space._buffers[bid]
+        n_pages = pages_for_bytes(nbytes, tables[0].page_size)
+        pre = tuple(_device_state(t, bid, n_pages) for t in tables)
+        if None in pre:
             return None
-        advise_set = space.advises.for_buffer(bid)
-        if advise_set.preferred_host or advise_set.read_mostly:
-            return None
-        nbytes = access.buffer.nbytes
-        n_pages = pages_for_bytes(nbytes, page_size)
-        if touched_page_count(access, page_size) < n_pages:
-            return None           # partial coverage: page sets matter
-        if bid in buffers:
-            continue
-        pre = []
-        for table in tables:
-            state = _device_state(table, bid, n_pages)
-            if state is None:
-                return None
-            pre.append(state)
-        order.append(bid)
-        buffers[bid] = {"index": index, "nbytes": nbytes,
-                        "n_pages": n_pages, "pre": tuple(pre)}
-    if not order:
-        return None
+        buffers.append((bid, nbytes, n_pages, pre))
     return {
-        "devices": devices,
-        "tables": tables,
-        "page_size": page_size,
-        "order": order,
         "buffers": buffers,
-        "osf": space.oversubscription,
         "clock": [t.clock for t in tables],
         "resident": [t.resident_pages for t in tables],
     }
 
 
-def _close_record(space: UvmSpace, gpu: Gpu, pre: dict,
+def _close_record(space: UvmSpace, pre: dict,
                   cost: KernelCost) -> KernelCostRecord | None:
+    """The transition a live-priced launch applied, or ``None`` when it
+    is not replayable from counts alone."""
     if cost.thrashing or cost.refault_bytes or cost.writeback_bytes:
         return None
-    tables: list[DevicePageTable] = pre["tables"]
+    tables = space._tables
     resident_delta = [t.resident_pages - r
                       for t, r in zip(tables, pre["resident"])]
     transitions = []
-    for bid in pre["order"]:
-        info = pre["buffers"][bid]
-        n_pages = info["n_pages"]
-        post = []
-        stamps = []
+    for bid, nbytes, n_pages, before in pre["buffers"]:
+        fills = []
         for d, table in enumerate(tables):
-            state = _device_state(table, bid, n_pages)
-            if state is None:
+            was = before[d]
+            now = _device_state(table, bid, n_pages)
+            if now is None:
                 return None
-            stamp = -1
-            if state[3] != info["pre"][d][3]:     # touched: stamp clock
+            resident_delta[d] -= now[1] - was[1]
+            if now == was:
+                fills.append(None)
+                continue
+            stamp = None
+            if now[3] != was[3]:     # touched: stamp clock
                 last = _uniform(table.buffer(bid).last_access)
                 if last is None:
                     return None
                 stamp = last - pre["clock"][d]
-            post.append(state)
-            stamps.append(stamp)
-            resident_delta[d] -= state[1] - info["pre"][d][1]
+            fills.append((
+                not was[0],
+                None if now[1] == was[1] else now[1] == n_pages,
+                None if now[2] == was[2] else now[2] == n_pages,
+                stamp, now[3] - was[3]))
         transitions.append(BufferTransition(
-            index=info["index"], nbytes=info["nbytes"], n_pages=n_pages,
-            pre=info["pre"], post=tuple(post), stamp=tuple(stamps)))
+            nbytes=nbytes, n_pages=n_pages, fills=tuple(fills)))
     if any(resident_delta):
         # Some *other* buffer's residency moved (an eviction): the
         # launch's effect is not contained in its own access set.
         return None
     return KernelCostRecord(
-        gpu_id=gpu.gpu_id,
-        device_ids=tuple(pre["devices"]),
-        page_size=pre["page_size"],
-        pre_osf=pre["osf"],
         clock_delta=tuple(t.clock - c
                           for t, c in zip(tables, pre["clock"])),
         buffers=tuple(transitions),

@@ -80,12 +80,12 @@ class BufferPages:
     @property
     def resident_count(self) -> int:
         """Number of resident pages."""
-        return int(self.resident.sum())
+        return int(np.count_nonzero(self.resident))
 
     @property
     def dirty_count(self) -> int:
         """Number of dirty pages."""
-        return int(self.dirty.sum())
+        return int(np.count_nonzero(self.dirty))
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,9 +241,9 @@ class DevicePageTable:
     def advance_clock(self, ticks: int) -> int:
         """Advance the LRU clock by several ticks at once.
 
-        The plan-cache cost replay reproduces a recorded launch's clock
-        movement without re-running the per-plan ``tick()`` calls; the
-        resulting clock value is identical to the live path's.
+        The pricing memo reproduces a recorded launch's clock movement
+        without re-running the per-plan ``tick()`` calls; the resulting
+        clock value is identical to the live path's.
         """
         if ticks < 0:
             raise ValueError("clock only moves forward")
@@ -302,37 +302,40 @@ class DevicePageTable:
         if write and not state.read_mostly:
             state.dirty[resident] = True
 
-    def fill_uniform(self, buffer_id: int, *, resident: bool,
+    def fill_uniform(self, buffer_id: int, *, resident: bool | None,
                      dirty: bool | None = None, clock: int | None = None,
                      touches: int = 0) -> None:
         """Set one buffer's pages to a uniform state in O(slice) time.
 
-        The plan-cache cost replay applies a recorded launch's
-        all-or-nothing residency transition without walking page sets:
+        The pricing memo applies a recorded launch's all-or-nothing
+        residency transition without walking page sets:
         full admission stamps every page with one clock value and one
         access-count delta — exactly what ``touch`` + ``admit`` over a
-        full-coverage page set would have produced.  ``dirty=None``
-        leaves dirtiness untouched (read-only access).  The caller is
-        responsible for capacity (guard ``free_pages`` first); admitting
-        past capacity raises as :meth:`admit` would.
+        full-coverage page set would have produced.  ``resident=None``
+        leaves residency untouched and ``dirty=None`` leaves dirtiness
+        untouched (read-only access), except that evicting every page
+        also cleans it.  The caller is responsible for capacity (guard
+        ``free_pages`` first); admitting past capacity raises as
+        :meth:`admit` would.
         """
         state = self.buffer(buffer_id)
-        was = state.resident_count
-        now = state.n_pages if resident else 0
-        if now - was > self.free_pages:
-            raise UvmError(
-                f"admitting {now - was} pages exceeds free capacity "
-                f"{self.free_pages} — evict first")
-        state.resident[:] = resident
+        if resident is not None:
+            was = state.resident_count
+            now = state.n_pages if resident else 0
+            if now - was > self.free_pages:
+                raise UvmError(
+                    f"admitting {now - was} pages exceeds free capacity "
+                    f"{self.free_pages} — evict first")
+            state.resident[:] = resident
+            if not resident and dirty is None:
+                state.dirty[:] = False
+            self._resident_total += now - was
         if dirty is not None:
             state.dirty[:] = dirty and not state.read_mostly
-        elif not resident:
-            state.dirty[:] = False
         if clock is not None:
             state.last_access[:] = clock
         if touches:
             state.access_count += touches
-        self._resident_total += now - was
 
     # -- eviction -----------------------------------------------------------------
 

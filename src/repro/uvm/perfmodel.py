@@ -68,9 +68,9 @@ class KernelCost:
 
 @dataclass(frozen=True, slots=True)
 class _BufferPlan:
-    """Per-buffer aggregation of a launch's accesses."""
+    """Per-buffer aggregation of a launch's accesses (id-free: the
+    launch pairs it with its buffer id)."""
 
-    buffer_id: int
     pages: np.ndarray
     writes: bool
     pattern: AccessPattern
@@ -95,14 +95,13 @@ def _seed_free(access: ArrayAccess, page_size: int) -> bool:
     return touched_page_count(access, page_size) >= total
 
 
-def _build_plan(buffer_id: int, group: list[ArrayAccess], page_size: int,
+def _build_plan(group: list[ArrayAccess], page_size: int,
                 seed: int, entropy: int | None) -> _BufferPlan:
     if len(group) == 1:
         # page_set output is already sorted and duplicate-free, so the
         # single-access common case skips the concatenate/argsort merge.
         access = group[0]
         return _BufferPlan(
-            buffer_id=buffer_id,
             pages=page_set(access, page_size, seed, entropy=entropy),
             writes=access.direction.writes,
             pattern=access.pattern,
@@ -115,7 +114,6 @@ def _build_plan(buffer_id: int, group: list[ArrayAccess], page_size: int,
     pattern = max((a.pattern for a in group),
                   key=lambda p: _SEVERITY[p])
     return _BufferPlan(
-        buffer_id=buffer_id,
         pages=pages,
         writes=bool(write_mask.any()),
         pattern=pattern,
@@ -126,16 +124,22 @@ def _build_plan(buffer_id: int, group: list[ArrayAccess], page_size: int,
 def _plan_buffers(accesses: tuple[ArrayAccess, ...], page_size: int,
                   seed: int,
                   ordinals: dict[int, int] | None = None,
-                  cache: dict | None = None) -> list[_BufferPlan]:
-    """Group a launch's accesses by buffer, merging page sets.
+                  cache: dict | None = None
+                  ) -> list[tuple[int, _BufferPlan]]:
+    """Group a launch's accesses by buffer, merging page sets; returns
+    ``(buffer_id, plan)`` pairs in first-use order.
 
     ``ordinals`` maps buffer ids to stable first-use ordinals so RANDOM
     page sampling is reproducible across runs (global buffer ids are not).
     ``cache`` memoizes plans whose page sets are seed-independent (see
     :func:`_seed_free`): iterative workloads re-price the same
     full-buffer accesses thousands of times, and the resulting plan —
-    pages array included — is identical every launch.  Consumers only
-    read the pages array (fancy indexing), so sharing it is safe.
+    pages array included — is identical every launch.  Such a plan
+    depends only on the buffer's page count and the access shapes, so
+    that is the key: buffers of one size share an entry, and a
+    long-lived service's departed buffers leave nothing behind.
+    Consumers only read the pages array (fancy indexing), so sharing it
+    is safe.
     """
     grouped: dict[int, list[ArrayAccess]] = {}
     for access in accesses:
@@ -145,19 +149,18 @@ def _plan_buffers(accesses: tuple[ArrayAccess, ...], page_size: int,
         entropy = ordinals.get(buffer_id) if ordinals is not None else None
         if cache is not None and all(_seed_free(a, page_size)
                                      for a in group):
-            key = (buffer_id,
-                   tuple((a.pattern, a.fraction, a.direction, a.passes,
-                          a.buffer.nbytes) for a in group))
+            key = (pages_for_bytes(group[0].buffer.nbytes, page_size),
+                   tuple((a.pattern, a.fraction, a.direction, a.passes)
+                         for a in group))
             plan = cache.get(key)
             if plan is None:
-                plan = _build_plan(buffer_id, group, page_size, seed,
-                                   entropy)
+                plan = _build_plan(group, page_size, seed, entropy)
                 if len(cache) < _PLAN_CACHE_CAP:
                     cache[key] = plan
-            plans.append(plan)
+            plans.append((buffer_id, plan))
             continue
-        plans.append(_build_plan(buffer_id, group, page_size, seed,
-                                 entropy))
+        plans.append((buffer_id,
+                      _build_plan(group, page_size, seed, entropy)))
     return plans
 
 
@@ -210,7 +213,7 @@ class KernelPricer:
                               self._seed, self._ordinals,
                               cache=self._plan_cache)
 
-        ws_pages = sum(len(p.pages) for p in plans)
+        ws_pages = sum(len(p.pages) for _, p in plans)
         ws_bytes = ws_pages * table.page_size
         capacity = table.capacity_pages
         pressure = max(pressure, ws_pages / capacity)
@@ -234,13 +237,13 @@ class KernelPricer:
 
     # -- the two regimes ------------------------------------------------------
 
-    def _price_fitting(self, plans: list[_BufferPlan], pressure: float,
-                       compute_s: float, hbm_s: float,
+    def _price_fitting(self, plans: list[tuple[int, _BufferPlan]],
+                       pressure: float, compute_s: float, hbm_s: float,
                        ws_bytes: int) -> KernelCost:
         stats = MigrationStats()
-        for plan in plans:
+        for buffer_id, plan in plans:
             stats = stats + self.engine.migrate_in(
-                plan.buffer_id, plan.pages, write=plan.writes,
+                buffer_id, plan.pages, write=plan.writes,
                 pattern=plan.pattern, osf=pressure)
         exec_s = max(compute_s, hbm_s)
         mig_s = stats.seconds
@@ -263,8 +266,8 @@ class KernelPricer:
             thrashing=False,
         )
 
-    def _price_thrashing(self, plans: list[_BufferPlan], pressure: float,
-                         compute_s: float, hbm_s: float,
+    def _price_thrashing(self, plans: list[tuple[int, _BufferPlan]],
+                         pressure: float, compute_s: float, hbm_s: float,
                          ws_bytes: int, capacity: int) -> KernelCost:
         table = self.engine.table
         page = table.page_size
@@ -273,11 +276,11 @@ class KernelPricer:
 
         link_s = 0.0
         cold_bytes = refault_bytes = wb_bytes = 0
-        for plan in plans:
+        for buffer_id, plan in plans:
             touched = len(plan.pages) * page
             # First pass: everything not resident comes in cold.
             resident = int(
-                table.buffer(plan.buffer_id).resident[plan.pages].sum())
+                table.buffer(buffer_id).resident[plan.pages].sum())
             cold = touched - resident * page
             # Later passes: cyclic sweep under LRU refaults everything the
             # sweep itself evicted; random replacement only the excess.
@@ -296,7 +299,7 @@ class KernelPricer:
             refault_bytes += int(refault)
             wb_bytes += int(wb)
             # End state: the tail of the sweep stays resident.
-            self._settle_residency(plan, capacity, ws_bytes)
+            self._settle_residency(buffer_id, plan, capacity, ws_bytes)
 
         hidden = self.params.thrash_overlap * min(compute_s, link_s)
         duration = (self.spec.kernel_launch_overhead + link_s + compute_s
@@ -315,15 +318,15 @@ class KernelPricer:
             thrashing=True,
         )
 
-    def _settle_residency(self, plan: _BufferPlan, capacity: int,
-                          ws_bytes: int) -> None:
+    def _settle_residency(self, buffer_id: int, plan: _BufferPlan,
+                          capacity: int, ws_bytes: int) -> None:
         """Leave the page table in the sweep's end state."""
         table = self.engine.table
         share = len(plan.pages) * table.page_size / ws_bytes
         keep = min(len(plan.pages), max(1, int(capacity * share)))
         clock = table.tick()
         # Free everything this buffer held, then admit the sweep tail.
-        table.drop(plan.buffer_id)
+        table.drop(buffer_id)
         if self.engine.eviction_order == "lfu":
             # Frequency-aware (FALL [7]) replacement: once-touched sweep
             # pages never displace warmer pages — the tail only fills the
@@ -334,6 +337,6 @@ class KernelPricer:
         tail = plan.pages[-keep:]
         evicted = table.ensure_free(
             len(tail), order=self.engine.eviction_order,
-            rng=self.engine.rng, protect=plan.buffer_id)
+            rng=self.engine.rng, protect=buffer_id)
         del evicted  # write-back already priced in the thrash formula
-        table.admit(plan.buffer_id, tail, write=plan.writes, clock=clock)
+        table.admit(buffer_id, tail, write=plan.writes, clock=clock)

@@ -66,6 +66,18 @@ def _counter(rt, name, **labels):
     return rt.metrics.family(name).labels(**labels).value
 
 
+def _memo_hits(rt):
+    """Launches the workers' pricing memos served, summed over nodes."""
+    return rt.metrics.family("grout_uvm_memo_hits_total").value_sum()
+
+
+def _price_live(rt):
+    """Route every worker's kernel pricing around the memo."""
+    for scheduler in rt.controller.workers.values():
+        uvm = scheduler.node.uvm
+        uvm.price_kernel = uvm._price_live
+
+
 class TestReplayIdentity:
     def _burst(self, plan_cache, repeats=3):
         rt = _runtime(plan_cache=plan_cache)
@@ -288,10 +300,12 @@ class TestInvalidation:
 
 
 class TestCostReplay:
-    """The cost-replay fast path: replayed launches skip the live
-    pricer entirely, yet leave every worker's UVM space in *exactly*
-    the state live pricing would have — same page tables, same clocks,
-    same cumulative stats, same simulated finish times."""
+    """Kernel costs under schedule replay: the pricing memo serves
+    launches with or without the plan cache, and either way leaves every
+    worker's UVM space in *exactly* the state live pricing would have —
+    same page tables, same clocks, same cumulative stats, same
+    simulated finish times.  (The launch-by-launch memo-vs-live
+    differential is ``tests/properties/test_pricing_memo_properties``.)"""
 
     @staticmethod
     def _uvm_state(rt):
@@ -313,7 +327,7 @@ class TestCostReplay:
             out[name] = (dataclasses.asdict(uvm.stats), devices)
         return out
 
-    def _burst(self, plan_cache, repeats=3):
+    def _burst(self, plan_cache, repeats=3, live=False):
         """Run the repeated program ``repeats`` times on one worker,
         reclaiming each session's arrays on close (the serve layer's
         lifecycle, which keeps the node OSF identical across repeats).
@@ -321,8 +335,11 @@ class TestCostReplay:
         every session identically and per-device page-table state is
         comparable run-for-run; the state snapshot lands *before* the
         final reclaim so the last program's tables are still live.
+        ``live`` prices every launch around the memo.
         """
         rt = _runtime(n_workers=1, plan_cache=plan_cache)
+        if live:
+            _price_live(rt)
         finish, state = [], None
         for i in range(repeats):
             session = rt.session(
@@ -334,21 +351,25 @@ class TestCostReplay:
             if i == repeats - 1:
                 state = self._uvm_state(rt)
             session.reclaim()
-        replays = _counter(rt, "grout_plancache_cost_replays_total") \
-            if plan_cache else None
+        hits = _memo_hits(rt)
         rt.shutdown()
-        return finish, state, replays
+        return finish, state, hits
 
     def test_replayed_costs_match_live_pricing_exactly(self):
-        off_finish, off_state, _ = self._burst(plan_cache=False)
-        on_finish, on_state, replays = self._burst(plan_cache=True)
-        # Every kernel launch of both replay sessions came from the
-        # recorded transitions (4 launches x 2 replays).
-        assert replays == 8
+        live_finish, live_state, live_hits = self._burst(plan_cache=False,
+                                                         live=True)
+        off_finish, off_state, off_hits = self._burst(plan_cache=False)
+        on_finish, on_state, on_hits = self._burst(plan_cache=True)
+        assert live_hits == 0
+        # The memo needs no plan key: both modes serve the same
+        # launches from it — all 12 but the first session's first two
+        # (cold buffers, then resident ones), whose keys later sessions
+        # repeat over fresh buffers.
+        assert off_hits == on_hits == 10
         # ... and the simulation cannot tell: identical finish times,
         # identical stats, clocks and page-table state on the worker.
-        assert on_finish == off_finish
-        assert on_state == off_state
+        assert on_finish == off_finish == live_finish
+        assert on_state == off_state == live_state
 
     def test_advise_guard_falls_back_to_live_pricing(self):
         """A replay session whose buffers carry a non-default advise
@@ -361,6 +382,7 @@ class TestCostReplay:
         warm.close()
         assert np.allclose(y.data, expected)
         warm.reclaim()
+        hits = _memo_hits(rt)
 
         replay = rt.session("replay", plan_key="axpy")
         x = replay.device_array(16, np.float32, virtual_nbytes=8 * MIB,
@@ -371,10 +393,10 @@ class TestCostReplay:
         assert np.allclose(y2.data, expected2)
         # The schedule plan itself hit and replayed...
         assert _counter(rt, "grout_plancache_hits_total") == 1
-        # ... but no launch took the cost-replay path, and the plan is
-        # not evicted (it stays valid for default-advise sessions).
-        assert _counter(rt,
-                        "grout_plancache_cost_replays_total") == 0
+        # ... but no launch was served by the pricing memo, and the
+        # plan is not evicted (it stays valid for default-advise
+        # sessions).
+        assert _memo_hits(rt) == hits
         assert "axpy" in rt.controller.plan_cache
         rt.shutdown()
 
@@ -413,16 +435,14 @@ class TestServeIntegration:
             rt = service.runtime
             assert _counter(rt, "grout_plancache_hits_total") == 2
             assert _counter(rt, "grout_plancache_misses_total") == 1
-            # The replayed sessions also served their kernel pricing
-            # from recorded cost transitions (reclaim keeps the OSF
-            # guard satisfied between hot-tenant repeats).
-            assert _counter(
-                rt, "grout_plancache_cost_replays_total") > 0
+            # Kernel pricing was served by the pricing memo (reclaim
+            # keeps the OSF, part of its key, steady between repeats).
+            assert _memo_hits(rt) > 0
 
     def test_finished_sessions_return_managed_memory(self):
         """Settled submissions reclaim their arrays: a persistent
         service must not let departed programs' managed bytes climb the
-        node OSF (which would also defeat the cost-replay OSF guard)."""
+        node OSF (which would also change every pricing-memo key)."""
         config = RuntimeConfig(policy="round-robin", plan_cache=True)
         spec = {"workload": "mv", "footprint_bytes": 16 * MIB,
                 "n_chunks": 4, "tenant": "hot"}

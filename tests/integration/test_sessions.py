@@ -197,6 +197,64 @@ class TestSessionsWithFaults:
         assert family.labels(session="b").value == 8
 
 
+def _processed(ce):
+    return ce.done is not None and ce.done.processed
+
+
+class TestReclaimChurn:
+    """Reclaimed sessions leave nothing anchored in the dependency
+    DAGs: freeing an array drops its frontier, so the last writers a
+    departed program left behind (and their arrays) become prunable."""
+
+    @staticmethod
+    def _dag_sizes(rt):
+        """(buffers, nodes) of the controller DAG and every worker's
+        local DAG, each right after a full prune (local DAGs learn
+        completions through ``mark_done``)."""
+        rt.controller.dag.prune_completed(_processed)
+        dags = [rt.controller.dag]
+        for worker in rt.controller.workers.values():
+            worker.local_dag.prune_completed()
+            dags.append(worker.local_dag)
+        return [(len(dag._buffers), dag.size) for dag in dags]
+
+    def _churn(self, rt, sessions, start):
+        for i in range(start, start + sessions):
+            session = rt.session(f"s{i}")
+            y, expected = _axpy_program(session)
+            session.close()
+            assert np.allclose(y.data, expected)
+            session.reclaim()
+        return self._dag_sizes(rt)
+
+    def test_dag_sizes_do_not_grow_with_reclaimed_sessions(self):
+        rt = _runtime()
+        few = self._churn(rt, 3, 0)
+        many = self._churn(rt, 12, 3)
+        assert many == few
+        assert all(buffers == 0 for buffers, _ in many)
+        rt.shutdown()
+
+    def test_grcuda_free_forgets_both_dags(self):
+        from repro.core import GrCudaRuntime
+        rt = GrCudaRuntime(gpu_spec=TEST_GPU_1GB)
+        kernel = _axpy()
+        for _ in range(5):
+            x = rt.device_array(16, np.float32, virtual_nbytes=MIB)
+            y = rt.device_array(16, np.float32, virtual_nbytes=MIB)
+            rt.host_write([x, y], lambda: None)
+            rt.launch(kernel, 16, 128, (y, x, 1.0))
+            rt.sync()
+            rt.free(x)
+            rt.free(y)
+        rt.dag.prune_completed(_processed)
+        rt.scheduler.local_dag.prune_completed()
+        for dag in (rt.dag, rt.scheduler.local_dag):
+            assert len(dag._buffers) == 0
+            assert dag.size == 0
+        rt.shutdown()
+
+
 def _axpy_program_plain(rt, *, steps=3, alpha=2.0):
     """The same program submitted without any session (legacy path)."""
     x = rt.device_array(16, np.float32, virtual_nbytes=8 * MIB,

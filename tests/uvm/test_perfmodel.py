@@ -187,3 +187,21 @@ class TestDegradationCurve:
         rand = price(AccessPattern.RANDOM)
         seq = price(AccessPattern.SEQUENTIAL)
         assert rand.duration > 5 * seq.duration
+
+
+class TestPlanCache:
+    def test_fresh_buffers_of_one_size_share_one_entry(self):
+        """Seed-free page sets are keyed by page count and access shape,
+        so a service pricing ever-new buffers of one size keeps one
+        entry instead of one per (dead) buffer id."""
+        pricer, table = make_pricer()
+        sizes = []
+        for _ in range(40):
+            access = ArrayAccess(Buf(4 * MIB), Direction.INOUT)
+            register(table, access)
+            cost = pricer.price(launch_for(access), pressure=0.1)
+            assert cost.cold_bytes == 4 * MIB
+            assert table.buffer(access.buffer.buffer_id).dirty_count == 4
+            table.unregister(access.buffer.buffer_id)
+            sizes.append(len(pricer._plan_cache))
+        assert sizes == [1] * 40
