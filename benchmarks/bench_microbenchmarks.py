@@ -6,9 +6,14 @@ kernel pricing, the simulation engine's event loop.  They are the
 regression harness for the scheduler-overhead claims of Fig. 9.
 """
 
+import gc
+
 import numpy as np
 
-from repro.core import DependencyDag, ManagedArray
+from repro.bench.scale import build_iterative
+from repro.cluster import paper_cluster
+from repro.core import (DependencyDag, GroutRuntime, ManagedArray,
+                        RoundRobinPolicy)
 from repro.core.ce import CeKind, ComputationalElement
 from repro.gpu import (
     ArrayAccess,
@@ -171,3 +176,23 @@ def test_micro_stream_enqueue(benchmark):
         engine.run()
 
     benchmark(enqueue_and_drain)
+
+
+def test_micro_back_to_back_runtimes(benchmark):
+    """Build a 2-worker runtime, run ~200 CEs, shut it down; repeat.
+
+    Rounds run back to back with the cyclic collector on, so the
+    teardown path is timed with them: a shut-down runtime is freed by
+    reference counting when the round drops it, not by a full
+    collection inside a later round.
+    """
+    def round_trip():
+        cluster = paper_cluster(2, gpu_spec=TEST_GPU_1GB)
+        rt = GroutRuntime(cluster, policy=RoundRobinPolicy())
+        scheduled = build_iterative(rt, 200)
+        rt.sync()
+        rt.shutdown()
+        return scheduled
+
+    assert gc.isenabled()
+    assert benchmark(round_trip) == 197

@@ -546,10 +546,14 @@ class Controller:
         """Release resources and refuse further scheduling; idempotent.
 
         Shuts the shard coordinator's worker processes down (when
-        present) and clears the pending list and the Global DAG — the
-        remaining object graphs that pin CE frames between back-to-back
-        runtime constructions in one process.  Read surfaces (stats,
-        directory, workers) stay intact for post-run reporting.
+        present), clears the pending list and the Global DAG, and cuts
+        the back-references this controller's parts hold to it: the
+        pipeline stages, the transfer planner, the plan cache and the
+        shard coordinator.  Those are the only cycles through the
+        controller (in-flight ``FastMove`` chains that the directory
+        keeps reach it through their stage), so once they are cut a
+        dropped runtime is freed by reference counting.  Read surfaces
+        (stats, directory, workers) stay intact for post-run reporting.
         """
         if self._closed:
             return
@@ -558,3 +562,7 @@ class Controller:
             self.coordinator.shutdown()
         self._pending.clear()
         self.dag = DependencyDag()
+        for part in (*self.pipeline.stages, self.planner, self.plan_cache,
+                     self.coordinator):
+            if part is not None:
+                part.controller = None

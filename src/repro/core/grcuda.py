@@ -257,8 +257,9 @@ class GrCudaRuntime:
         """Tear the runtime down (idempotent, safe from ``__del__``).
 
         Same contract as :meth:`GroutRuntime.shutdown`: queued engine
-        deliveries are discarded, the metrics registry is sealed, and
-        accumulated traces/metrics stay readable.
+        deliveries are discarded, the metrics registry is sealed,
+        accumulated traces/metrics stay readable, and dropping the last
+        reference frees the runtime by reference counting.
         """
         if getattr(self, "_closed", False):
             return

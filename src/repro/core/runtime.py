@@ -353,13 +353,16 @@ class GroutRuntime:
         """Tear the runtime down (idempotent, safe from ``__del__``).
 
         Finalizes every still-open session (without draining — the
-        simulation is over), shuts the shard coordinator's worker
-        processes down, discards the engine's queued deliveries (their
-        generator frames close over the whole cluster graph, the actual
-        leak between back-to-back constructions in one process), and
-        seals the metrics registry so late scrapes see a frozen
-        timestamp.  Traces, metrics values and ``engine.now`` stay
-        readable afterwards; new sessions and new submissions raise.
+        simulation is over), shuts the controller down (shard worker
+        processes included) and cuts its parts' back-references to it,
+        discards the engine's queued deliveries (their generator frames
+        close over the whole cluster graph), and seals the metrics
+        registry so late scrapes see a frozen timestamp.  Afterwards the
+        runtime holds no reference cycle: dropping its last reference
+        frees it by reference counting, so nothing of it is left for a
+        full collection inside the next run.  Traces, metrics values
+        and ``engine.now`` stay readable, and metrics keep accepting
+        writes; new sessions and new submissions raise.
         """
         if self._closed:
             return

@@ -9,6 +9,7 @@ async wait-events on ancestor computations).
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Callable, Generator, Sequence
 
 from repro.sim import Engine, Event, Tracer
@@ -189,14 +190,21 @@ class FastOp:
 
 
 class Stream:
-    """One in-order execution queue on a simulated GPU."""
+    """One in-order execution queue on a simulated GPU.
+
+    The owning :class:`~repro.gpu.device.Gpu` holds its streams; a stream
+    refers back to it only weakly, so a dropped GPU (a shut-down
+    runtime's, or a crashed worker's) is freed by reference counting.
+    """
 
     def __init__(self, engine: Engine, gpu: "Gpu", index: int,
                  tracer: Tracer | None = None):
         self.engine = engine
-        self.gpu = gpu
+        self._gpu = weakref.ref(gpu)
         self.index = index
         self.tracer = tracer
+        #: Trace-lane name of this stream, e.g. ``worker0/gpu1/stream2``.
+        self.lane = f"{gpu.lane}/stream{index}"
         self._tail: Event | None = None   # completion of last enqueued op
         self._ops_enqueued = 0
         self._busy_until = 0.0            # bookkeeping for policies
@@ -206,9 +214,9 @@ class Stream:
         self._runners: dict[int, "Process"] = {}
 
     @property
-    def lane(self) -> str:
-        """Trace-lane name of this stream."""
-        return f"{self.gpu.lane}/stream{self.index}"
+    def gpu(self) -> "Gpu | None":
+        """The GPU this stream runs on (``None`` once it was dropped)."""
+        return self._gpu()
 
     @property
     def ops_enqueued(self) -> int:

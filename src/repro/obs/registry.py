@@ -128,6 +128,26 @@ class MetricSpec:
                     f"{self.name}: invalid label name {label!r}")
 
 
+class _Shared:
+    """What a registry's families and instruments read of it: the lock,
+    the clock and the capacities.
+
+    Families and instruments hold this object rather than the registry,
+    so registry -> family -> instrument stays a tree with no back-edge:
+    a dropped registry (and the engine its clock closes over) is freed
+    by reference counting, never left for the cyclic collector.
+    """
+
+    __slots__ = ("lock", "clock", "reservoir", "series_capacity")
+
+    def __init__(self, clock: Callable[[], float] | None,
+                 reservoir: int, series_capacity: int):
+        self.lock = threading.RLock()
+        self.clock = clock
+        self.reservoir = reservoir
+        self.series_capacity = series_capacity
+
+
 class _Instrument:
     """Base of one labelled child: the thing call sites actually update.
 
@@ -137,10 +157,10 @@ class _Instrument:
     memory O(capacity) over arbitrarily long runs.
     """
 
-    __slots__ = ("_registry", "_value", "_series")
+    __slots__ = ("_shared", "_value", "_series")
 
-    def __init__(self, registry: "MetricsRegistry"):
-        self._registry = registry
+    def __init__(self, shared: _Shared):
+        self._shared = shared
         self._value = 0.0
         self._series: list[tuple[float, float]] = []
 
@@ -158,8 +178,8 @@ class _Instrument:
         # Kept as the one canonical description of series recording; the
         # instrument hot paths (Counter.inc, Gauge.set/inc) inline this
         # body to spare a method call per update.
-        registry = self._registry
-        clock = registry.clock
+        shared = self._shared
+        clock = shared.clock
         if clock is None:
             return
         now = clock()
@@ -172,7 +192,7 @@ class _Instrument:
             series[-1] = (now, self._value)
             return
         series.append((now, self._value))
-        if len(series) > registry.series_capacity:
+        if len(series) > shared.series_capacity:
             # Keep the first and last points exact, thin the middle.
             self._series = series[:1] + series[1:-1:2] + series[-1:]
 
@@ -186,10 +206,10 @@ class Counter(_Instrument):
         """Add ``amount`` (must be >= 0) to the counter."""
         if amount < 0:
             raise MetricError("counters only go up; use a gauge")
-        registry = self._registry
-        with registry.lock:
+        shared = self._shared
+        with shared.lock:
             value = self._value = self._value + amount
-            clock = registry.clock
+            clock = shared.clock
             if clock is None:
                 return
             now = clock()
@@ -198,7 +218,7 @@ class Counter(_Instrument):
                 series[-1] = (now, value)
             else:
                 series.append((now, value))
-                if len(series) > registry.series_capacity:
+                if len(series) > shared.series_capacity:
                     self._series = (series[:1] + series[1:-1:2]
                                     + series[-1:])
 
@@ -210,10 +230,10 @@ class Gauge(_Instrument):
 
     def set(self, value: float) -> None:
         """Replace the gauge's value."""
-        registry = self._registry
-        with registry.lock:
+        shared = self._shared
+        with shared.lock:
             value = self._value = float(value)
-            clock = registry.clock
+            clock = shared.clock
             if clock is None:
                 return
             now = clock()
@@ -222,16 +242,16 @@ class Gauge(_Instrument):
                 series[-1] = (now, value)
             else:
                 series.append((now, value))
-                if len(series) > registry.series_capacity:
+                if len(series) > shared.series_capacity:
                     self._series = (series[:1] + series[1:-1:2]
                                     + series[-1:])
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (may be negative) to the gauge."""
-        registry = self._registry
-        with registry.lock:
+        shared = self._shared
+        with shared.lock:
             value = self._value = self._value + amount
-            clock = registry.clock
+            clock = shared.clock
             if clock is None:
                 return
             now = clock()
@@ -240,7 +260,7 @@ class Gauge(_Instrument):
                 series[-1] = (now, value)
             else:
                 series.append((now, value))
-                if len(series) > registry.series_capacity:
+                if len(series) > shared.series_capacity:
                     self._series = (series[:1] + series[1:-1:2]
                                     + series[-1:])
 
@@ -257,16 +277,16 @@ class Histogram(RunningAggregate):
     changes, plus the Prometheus-style ``observe`` spelling.
     """
 
-    __slots__ = ("_registry",)
+    __slots__ = ("_shared",)
 
-    def __init__(self, registry: "MetricsRegistry",
+    def __init__(self, shared: _Shared,
                  capacity: int = 512, seed: int = 0):
         super().__init__(capacity=capacity, seed=seed)
-        self._registry = registry
+        self._shared = shared
 
     def observe(self, sample: float) -> None:
         """Record one observation (thread-safe)."""
-        with self._registry.lock:
+        with self._shared.lock:
             RunningAggregate.add(self, sample)
 
     add = observe
@@ -284,8 +304,8 @@ _CHILD_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 class MetricFamily:
     """All children of one metric name, one child per label combination."""
 
-    def __init__(self, registry: "MetricsRegistry", spec: MetricSpec):
-        self.registry = registry
+    def __init__(self, shared: _Shared, spec: MetricSpec):
+        self._shared = shared
         self.spec = spec
         self._children: dict[tuple[str, ...], _Instrument | Histogram] = {}
 
@@ -310,14 +330,14 @@ class MetricFamily:
                 f"{self.name}: expected labels {self.spec.labels}, "
                 f"got {tuple(sorted(labelvalues))}")
         key = tuple(str(labelvalues[name]) for name in self.spec.labels)
-        with self.registry.lock:
+        shared = self._shared
+        with shared.lock:
             child = self._children.get(key)
             if child is None:
                 if self.kind == "histogram":
-                    child = Histogram(self.registry,
-                                      capacity=self.registry.reservoir)
+                    child = Histogram(shared, capacity=shared.reservoir)
                 else:
-                    child = _CHILD_TYPES[self.kind](self.registry)
+                    child = _CHILD_TYPES[self.kind](shared)
                 self._children[key] = child
             return child
 
@@ -349,11 +369,28 @@ class MetricsRegistry:
         if reservoir < 1 or series_capacity < 4:
             raise MetricError(
                 "reservoir must be >= 1 and series_capacity >= 4")
-        self.clock = clock
-        self.reservoir = reservoir
-        self.series_capacity = series_capacity
-        self.lock = threading.RLock()
+        self._shared = _Shared(clock, reservoir, series_capacity)
         self._families: dict[str, MetricFamily] = {}
+
+    @property
+    def lock(self) -> threading.RLock:
+        """The one lock every family and instrument update takes."""
+        return self._shared.lock
+
+    @property
+    def clock(self) -> Callable[[], float] | None:
+        """Time source of the instrument series (``None``: no series)."""
+        return self._shared.clock
+
+    @property
+    def reservoir(self) -> int:
+        """Reservoir size of every histogram child."""
+        return self._shared.reservoir
+
+    @property
+    def series_capacity(self) -> int:
+        """Points a counter/gauge series keeps before decimating."""
+        return self._shared.series_capacity
 
     # -- declaration ---------------------------------------------------------
 
@@ -368,7 +405,7 @@ class MetricsRegistry:
                         f"metric {spec.name!r} already registered with a "
                         f"different spec ({existing.spec} != {spec})")
                 return existing
-            family = MetricFamily(self, spec)
+            family = MetricFamily(self._shared, spec)
             self._families[spec.name] = family
             return family
 
@@ -410,14 +447,16 @@ class MetricsRegistry:
     def finalize(self) -> None:
         """Seal the registry at teardown (idempotent).
 
-        Drops the clock closure — usually ``lambda: engine.now``, the one
-        reference that keeps a dead engine (and the cluster graph hanging
-        off it) alive — so instruments stop recording time series.  Every
-        accumulated value, series and histogram stays readable; exporters
-        and post-run reports work unchanged on a finalized registry.
+        Drops the clock closure (usually ``lambda: engine.now``), so
+        instruments stop recording time series and a registry that
+        outlives its runtime (held by a report or a closed service) no
+        longer holds the dead engine.  Every accumulated value, series
+        and histogram stays readable, and instruments keep accepting
+        writes; exporters and post-run reports work unchanged on a
+        finalized registry.
         """
         with self.lock:
-            self.clock = None
+            self._shared.clock = None
 
     @property
     def finalized(self) -> bool:

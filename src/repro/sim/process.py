@@ -116,8 +116,11 @@ class Process(Event):
                     return
                 except BaseException as exc:
                     # The process died: propagate through its own event so
-                    # waiters see the failure (or the engine aborts).
-                    self.fail(exc)
+                    # waiters see the failure (or the engine aborts).  The
+                    # stored traceback starts at the generator: this
+                    # frame's ``self`` would otherwise close a cycle
+                    # (process -> exception -> traceback -> frame).
+                    self.fail(exc.with_traceback(exc.__traceback__.tb_next))
                     return
                 if not isinstance(target, Event):
                     self.fail(TypeError(
