@@ -37,8 +37,7 @@ def serial_send_seconds(n_workers: int, nbytes: int) -> float:
     engine, fabric = cluster.engine, cluster.fabric
     home = cluster.controller.name
     for worker in cluster.workers:
-        engine.process(fabric.transfer_process(
-            home, worker.name, nbytes, label="serial"))
+        fabric.transfer(home, worker.name, nbytes, label="serial")
     engine.run()
     return engine.now
 

@@ -168,11 +168,11 @@ def test_micro_stream_enqueue(benchmark):
     gpu = Gpu(engine, SPEC, node_name="n", index=0)
     stream = gpu.new_stream()
 
-    def body():
-        yield engine.timeout(0.0)
+    def begin(op):
+        op.sleep(0.0, lambda op: op.finish(None))
 
     def enqueue_and_drain():
-        stream.enqueue(body)
+        stream.enqueue(begin)
         engine.run()
 
     benchmark(enqueue_and_drain)

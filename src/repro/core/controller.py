@@ -28,16 +28,16 @@ from typing import TYPE_CHECKING
 from repro.cluster.cluster import Cluster
 from repro.obs import CeProfiler, MetricsRegistry, RunningAggregate
 from repro.obs import install as install_metrics
-from repro.sim import Event, Process, SimError
+from repro.sim import Event, SimError
 from repro.core.arrays import Directory, ManagedArray
 from repro.core.ce import ComputationalElement
 from repro.core.dag import DependencyDag
 from repro.core.intranode import IntraNodeScheduler, _ce_completed
 from repro.core.pipeline import (AdmissionStage, CoherenceStage,
                                  DataMovementStage, DispatchStage,
-                                 FairShareGate, FastMove,
-                                 HOST_MEM_BANDWIDTH, NODE_CRASH,
-                                 PlacementStage, SchedulingPipeline)
+                                 FairShareGate, HOST_MEM_BANDWIDTH,
+                                 NODE_CRASH, PlacementStage,
+                                 SchedulingPipeline)
 from repro.core.planner import TransferPlanner
 from repro.core.policies import Policy, SchedulingContext
 
@@ -386,12 +386,6 @@ class Controller:
         if scheduler is None:
             raise KeyError(f"no live worker named {name!r}")
         started = self.engine.now
-        # Direct crash calls (no armed fault plan) also flip the fabric
-        # into resilient mode: recovery moves and later re-executions may
-        # be interrupted by further crashes, so they need the
-        # interruptible generator path from here on.
-        self.cluster.fabric.resilient = True
-
         ops_aborted = scheduler.abort_inflight((NODE_CRASH, name))
         unfinished = sorted(
             (ce for ce in self.dag.nodes()
@@ -399,17 +393,14 @@ class Controller:
              and ce.done is not None and not ce.done.triggered),
             key=lambda ce: ce.ce_id)
 
+        # In-flight replications are Moves or relay-leg processes; both
+        # take Process-style interrupts.  A move *into* the dead node
+        # dies outright (not a NODE_CRASH cause, which would re-source).
         repair = self.directory.drop_node(name)
         for ev in repair.cancelled:
-            if isinstance(ev, (Process, FastMove)):
-                # Not a NODE_CRASH cause: the resilient mover re-sources on
-                # those, but a move *into* the dead node must die outright.
-                ev.cancel(("move-cancelled", name))
+            ev.cancel(("move-cancelled", name))
         for ev in repair.rerouted:
-            if isinstance(ev, FastMove):
-                if ev.is_alive:
-                    ev.interrupt_crash(name)
-            elif isinstance(ev, Process) and ev.is_alive:
+            if not ev.triggered:
                 ev.interrupt((NODE_CRASH, name))
 
         self.context.workers = [w for w in self.context.workers
@@ -550,7 +541,7 @@ class Controller:
         the back-references this controller's parts hold to it: the
         pipeline stages, the transfer planner, the plan cache and the
         shard coordinator.  Those are the only cycles through the
-        controller (in-flight ``FastMove`` chains that the directory
+        controller (in-flight ``Move`` chains that the directory
         keeps reach it through their stage), so once they are cut a
         dropped runtime is freed by reference counting.  Read surfaces
         (stats, directory, workers) stay intact for post-run reporting.

@@ -225,10 +225,8 @@ class IntraNodeScheduler:
         engine = self.node.engine
         submitted = engine.now
 
-        # The op runs as a generator-free callback chain (FastOp): begin()
-        # at stream start, then hold-the-link / sleep hops, then fin().
-        # Queue-hop parity with the old generator body keeps the event
-        # schedule byte-identical; each hop skips the Process machinery.
+        # The op runs as a callback chain (StreamOp): begin() at stream
+        # start, then hold-the-link / sleep hops, then fin().
         def begin(op):
             started = op.started_at
             if self.profiler is not None:
@@ -286,10 +284,10 @@ class IntraNodeScheduler:
         meta = {"ce": ce.ce_id}
         if ce.session is not None:
             meta["session"] = ce.session
-        done = stream.enqueue_call(begin, name=ce.display_name,
-                                   category="kernel",
-                                   waits=list(waits) + parent_waits,
-                                   meta=meta)
+        done = stream.enqueue(begin, name=ce.display_name,
+                              category="kernel",
+                              waits=list(waits) + parent_waits,
+                              meta=meta)
         done.callbacks.append(
             lambda _ev: self._complete(gpu.gpu_id, load, ce))
         return done
@@ -344,9 +342,9 @@ class IntraNodeScheduler:
         meta = {"ce": ce.ce_id}
         if ce.session is not None:
             meta["session"] = ce.session
-        done = stream.enqueue_call(begin, name=ce.display_name,
-                                   category="prefetch", waits=list(waits),
-                                   meta=meta)
+        done = stream.enqueue(begin, name=ce.display_name,
+                              category="prefetch", waits=list(waits),
+                              meta=meta)
         done.callbacks.append(
             lambda _ev: self.local_dag.mark_done(ce))
         return done

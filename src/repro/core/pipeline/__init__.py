@@ -12,8 +12,7 @@ from repro.core.pipeline.base import (SchedulingPipeline, SchedulingState,
                                       Stage)
 from repro.core.pipeline.coherence import CoherenceStage
 from repro.core.pipeline.dispatch import HOST_MEM_BANDWIDTH, DispatchStage
-from repro.core.pipeline.movement import (NODE_CRASH, DataMovementStage,
-                                          FastMove)
+from repro.core.pipeline.movement import NODE_CRASH, DataMovementStage, Move
 from repro.core.pipeline.placement import PlacementStage
 
 __all__ = [
@@ -22,8 +21,8 @@ __all__ = [
     "DataMovementStage",
     "DispatchStage",
     "FairShareGate",
-    "FastMove",
     "HOST_MEM_BANDWIDTH",
+    "Move",
     "NODE_CRASH",
     "PlacementStage",
     "SchedulingPipeline",

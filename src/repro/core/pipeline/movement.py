@@ -5,9 +5,9 @@ whatever inter-node transfer makes it up-to-date on the chosen node —
 controller→worker when the data only lives on the controller, worker↔
 worker P2P otherwise — or coalesce broadcast-shaped replication into the
 :class:`~repro.core.planner.TransferPlanner`'s relay chains when
-collectives are enabled.  The stage owns the failure-aware mover: crash
-interrupts re-source a move from a surviving holder, exhausted fabric
-retries fall back toward the controller.
+collectives are enabled.  Every point-to-point replication is a
+:class:`Move`: crash interrupts re-source it from a surviving holder,
+exhausted fabric retries fall back toward the controller.
 
 Crash recovery re-enters this stage directly (``ensure_on_node`` with
 ``reexec_of``), so re-executions flow through the exact same staged path
@@ -16,10 +16,10 @@ as first executions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
-from repro.net.fabric import TransferError, _FastTransfer
-from repro.sim import Event, Interrupt
+from repro.net.fabric import Transfer, TransferError
+from repro.sim import Event, Interrupt, SimError
 from repro.sim.events import EventState
 
 from repro.core.pipeline.base import SchedulingState, Stage
@@ -28,33 +28,44 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.arrays import ManagedArray
     from repro.core.ce import ComputationalElement
 
-__all__ = ["DataMovementStage", "FastMove"]
+__all__ = ["DataMovementStage", "MAX_RESCUES", "Move", "NODE_CRASH"]
 
 #: Interrupt-cause tag carried by crash-triggered interruptions.
 NODE_CRASH = "node-crash"
 
+#: Re-sources after exhausted fabric retries before a replication gives
+#: up (crash re-sourcing is unbounded).
+MAX_RESCUES = 3
+
 _PROCESSED = EventState.PROCESSED
 
 
-class FastMove(Event):
-    """A replication as a callback chain instead of a ``_move`` process.
+def is_crash(exc: BaseException) -> bool:
+    """Whether ``exc`` is a node-crash :class:`Interrupt`."""
+    cause = getattr(exc, "cause", None)
+    return (isinstance(exc, Interrupt) and isinstance(cause, tuple)
+            and bool(cause) and cause[0] == NODE_CRASH)
 
-    The common-case move — wait for the producer, charge source
-    writeback, cross the fabric — is straight-line, so when no fault
-    machinery is armed it runs generator-free with exact queue-hop
-    parity: one zero-delay start call (the process start event), the
-    shared producer delivery, one writeback call (the timeout), the
-    transfer chain's three hops, and the move event itself.
 
-    Crash repair still works on in-flight chains: :meth:`cancel` kills
-    a move into a dead node (the event never fires), and
-    :meth:`interrupt_crash` re-sources a move fed *by* a dead node from
-    a surviving holder — the callback twins of the mover's Interrupt
-    handling, used by the controller instead of Process.interrupt.
+class Move(Event):
+    """One replication as a callback chain: wait for the producer, charge
+    the source GPUs' writeback, cross the fabric.
+
+    It takes the deliveries a process body would: a zero-delay start
+    call, the producer's delivery, a writeback call, the
+    :class:`~repro.net.fabric.Transfer`'s own, then the move event.  A
+    transfer that exhausted its retries is rescued from another holder
+    (at most :data:`MAX_RESCUES` times, the controller last).
+    :meth:`interrupt` and :meth:`cancel` keep :class:`Process` hop
+    semantics: detach at once; one hop later free the NIC ends and
+    re-source (a ``(NODE_CRASH, node)`` cause) or fail with the
+    :class:`~repro.sim.Interrupt` (any other cause), delivered one hop
+    after that.
     """
 
     __slots__ = ("stage", "array", "src", "dst", "producer", "for_ce",
-                 "_dead", "_leg", "_producer_index", "_measured_from")
+                 "_gen", "_leg", "_cut", "_producer_index",
+                 "_measured_from", "_rescues")
 
     def __init__(self, stage: "DataMovementStage", array: "ManagedArray",
                  src: str, dst: str, producer: Event | None,
@@ -67,22 +78,21 @@ class FastMove(Event):
         self.dst = dst
         self.producer = producer
         self.for_ce = for_ce
-        self._dead = False
-        self._leg: _FastTransfer | None = None
+        #: Bumped on every detach; start/writeback calls from an older
+        #: generation are stale.
+        self._gen = 0
+        self._leg: Transfer | None = None
+        self._cut: Transfer | None = None
         self._producer_index = -1
         self._measured_from: float | None = None
+        self._rescues = 0
         # One hop before anything runs, like a Process's start event.
-        engine.schedule_call(0.0, self._begin)
-
-    @property
-    def is_alive(self) -> bool:
-        """True while the move has not completed (mirrors Process)."""
-        return not self.triggered
+        engine.schedule_call(0.0, self._run, 0)
 
     # -- chain stages --------------------------------------------------------
 
-    def _begin(self, _arg: object = None) -> None:
-        if self._dead:
+    def _run(self, gen: int) -> None:
+        if gen != self._gen:
             return
         producer = self.producer
         if producer is not None and producer._state is not _PROCESSED:
@@ -93,48 +103,46 @@ class FastMove(Event):
         self._after_producer(None)
 
     def _after_producer(self, ev: Event | None) -> None:
-        if self._dead:
-            return
+        self._producer_index = -1
         if ev is not None and not ev._ok:
-            # The producer failed: the move fails with its exception,
-            # exactly like the generator path's uncaught throw.
-            self.fail(ev._value)  # type: ignore[arg-type]
+            self._failed(ev._value)  # type: ignore[arg-type]
             return
         controller = self.stage.controller
         if self._measured_from is None:
+            # Profile from after the producer wait: the wait is
+            # dependency stall, not data movement.
             self._measured_from = controller.engine.now
         source_worker = controller.workers.get(self.src)
         if source_worker is not None:
             wb = source_worker.writeback_seconds(self.array)
             if wb > 0:
-                controller.engine.schedule_call(wb, self._transfer)
+                controller.engine.schedule_call(wb, self._send, self._gen)
                 return
-        self._transfer(None)
+        self._send(self._gen)
 
-    def _transfer(self, _arg: object) -> None:
-        if self._dead:
+    def _send(self, gen: int) -> None:
+        if gen != self._gen:
             return
         array = self.array
-        if self.src == self.dst or array.nbytes == 0:
-            self._complete(None)
+        leg = self.stage.controller.cluster.fabric.transfer(
+            self.src, self.dst, array.nbytes, label=array.name)
+        if leg._state is _PROCESSED:  # same node or zero bytes
+            self._complete()
             return
-        fabric = self.stage.controller.cluster.fabric
-        leg = _FastTransfer(fabric, self.src, self.dst, array.nbytes,
-                            label=array.name)
         leg._defused = True
         self._leg = leg
-        leg.callbacks.append(self._complete)
+        leg.callbacks.append(self._sent)
 
-    def _complete(self, ev: Event | None) -> None:
-        if self._dead:
-            return
+    def _sent(self, ev: Event) -> None:
+        if ev is not self._leg:
+            return  # detached by an interrupt
         self._leg = None
-        if ev is not None and not ev._ok:
-            # A flake armed mid-flight without the resilient latch —
-            # unreachable through the fault injector; fail the move
-            # rather than guess at a retry schedule.
-            self.fail(ev._value)  # type: ignore[arg-type]
-            return
+        if ev._ok:
+            self._complete()
+        else:
+            self._failed(ev._value)  # type: ignore[arg-type]
+
+    def _complete(self) -> None:
         controller = self.stage.controller
         if controller.profiler is not None and self.for_ce is not None:
             controller.profiler.record_transfer(
@@ -142,47 +150,63 @@ class FastMove(Event):
                 nbytes=self.array.nbytes, node=self.dst)
         self.succeed(self.array.nbytes)
 
+    def _failed(self, exc: BaseException) -> None:
+        """An exception reached the move: re-source on a crash or a
+        rescuable transfer failure and start over, else fail."""
+        stage = self.stage
+        controller = stage.controller
+        if is_crash(exc):
+            self.src = stage.surviving_source(self.array, self.dst,
+                                              exclude=exc.cause[1])
+        elif (isinstance(exc, TransferError)
+                and self._rescues < MAX_RESCUES
+                and self.src != controller.cluster.controller.name):
+            self._rescues += 1
+            self.src = stage.surviving_source(self.array, self.dst,
+                                              exclude=self.src)
+        else:
+            self.fail(exc)
+            return
+        controller.stats.count_rerouted()
+        self._run(self._gen)
+
     # -- crash repair --------------------------------------------------------
 
-    def _detach(self) -> None:
-        producer = self.producer
-        index = self._producer_index
-        if (producer is not None and 0 <= index < len(producer.callbacks)
-                and producer.callbacks[index] is self._after_producer):
-            producer.callbacks[index] = None
-        self._producer_index = -1
-        leg, self._leg = self._leg, None
-        if leg is not None:
-            leg.abort()
+    def interrupt(self, cause: object = None) -> None:
+        """Throw ``Interrupt(cause)`` at the move, like
+        :meth:`Process.interrupt`: detach now, handle it one hop later."""
+        if self.triggered:
+            raise SimError(f"cannot interrupt finished move {self!r}")
+        self._detach()
+        self.engine.schedule_call(0.0, self._interrupted, cause)
 
     def cancel(self, cause: object = None) -> bool:
-        """Kill the move (destination died); the event never fires."""
+        """Abandon the move (its destination died), like
+        :meth:`Process.cancel`; returns whether it was still alive."""
         self._defused = True
-        if self._dead or self.triggered:
+        if self.triggered:
             return False
-        self._dead = True
-        self._detach()
+        self.interrupt(cause)
         return True
 
-    def interrupt_crash(self, dead_node: str) -> None:
-        """Re-source from a surviving holder (the source died).
+    def _detach(self) -> None:
+        self._gen += 1
+        index, self._producer_index = self._producer_index, -1
+        callbacks = self.producer.callbacks if index >= 0 else ()
+        if (0 <= index < len(callbacks)
+                and getattr(callbacks[index], "__self__", None) is self):
+            callbacks[index] = None
+        if self._leg is not None:
+            self._cut, self._leg = self._leg, None
 
-        The generator path's carrier event delivers the Interrupt one
-        hop after the crash; the zero-delay call mirrors that.
-        """
-        if self._dead or self.triggered:
+    def _interrupted(self, cause: object) -> None:
+        if self.triggered:
             return
         self._detach()
-        self.engine.schedule_call(0.0, self._resourced, dead_node)
-
-    def _resourced(self, dead_node: str) -> None:
-        if self._dead or self.triggered:
-            return
-        stage = self.stage
-        self.src = stage.surviving_source(self.array, self.dst,
-                                          exclude=dead_node)
-        stage.controller.stats.count_rerouted()
-        self._begin(None)
+        cut, self._cut = self._cut, None
+        if cut is not None:
+            cut.cancel()
+        self._failed(Interrupt(cause))
 
 
 class DataMovementStage(Stage):
@@ -191,38 +215,28 @@ class DataMovementStage(Stage):
     name = "data-movement"
 
     def process(self, ce, state: SchedulingState) -> SchedulingState:
-        """Run this phase for one CE (see the class docstring)."""
-        assert state.node is not None, "placement must run before movement"
+        """Run this phase for one CE (see the class docstring).
+
+        A session recording its plan also notes each array's movement
+        action: the replication's source node, or ``None`` when the
+        array was already up to date on the chosen node.
+        """
+        node = state.node
+        assert node is not None, "placement must run before movement"
         session = state.session
         recorder = None if session is None else session._plan_recorder
-        if recorder is not None:
-            return self._process_recorded(ce, state, recorder)
-        for array in ce.arrays:
-            ev = self.ensure_on_node(array, state.node, for_ce=ce)
-            if ev is not None:
-                state.waits.append(ev)
-        return state
-
-    def _process_recorded(self, ce, state: SchedulingState,
-                          recorder) -> SchedulingState:
-        """Recording twin of :meth:`process`: identical decisions, plus
-        a note of each array's movement action for the session's plan —
-        the replication's source node, or ``None`` when the array was
-        already up to date on the chosen node."""
         directory = self.controller.directory
-        node = state.node
         for array in ce.arrays:
-            fresh = not directory.up_to_date_on(array, node)
+            fresh = (recorder is not None
+                     and not directory.up_to_date_on(array, node))
             ev = self.ensure_on_node(array, node, for_ce=ce)
             if ev is not None:
                 state.waits.append(ev)
-            if fresh:
+            if recorder is not None:
                 # "" (never a node name) marks an unreadable source —
                 # e.g. a planner relay — and poisons the recording.
-                recorder.note_move(
-                    directory.state(array).inflight_src.get(node, ""))
-            else:
-                recorder.note_move(None)
+                recorder.note_move(directory.state(array).inflight_src.get(
+                    node, "") if fresh else None)
         return state
 
     # -- Algorithm 1, data-movement phase --------------------------------------
@@ -276,75 +290,18 @@ class DataMovementStage(Stage):
                             h, node_name, array.nbytes), h))
                 if src != controller.cluster.controller.name:
                     controller.stats.count_p2p()
-            fabric = controller.cluster.fabric
-            if (not fabric.resilient and fabric.chunk_bytes is None
-                    and fabric.retry.attempt_timeout is None):
-                # No fault machinery armed: the move runs generator-free
-                # (hop parity with _move; crash repair still cancels or
-                # re-sources the chain through its explicit hooks).
-                done = FastMove(self, array, src, node_name, producer,
-                                for_ce)
-            else:
-                done = controller.engine.process(
-                    self._move(array, src, node_name, producer,
-                               for_ce=for_ce),
-                    name=f"move:{array.name}->{node_name}")
+            done = Move(self, array, src, node_name, producer, for_ce)
         directory.record_replication(
             array, node_name, done, src=src,
             producer_id=last.ce_id if producer is not None else None)
         controller.stats.count_transfer(array.nbytes)
         return done
 
-    def _move(self, array: "ManagedArray", src: str, dst: str,
-              producer: "Event | None",
-              for_ce: "ComputationalElement | None" = None):
-        """Process: wait for the producer, flush source GPUs, cross the wire.
-
-        Failure-aware: an interrupt carrying a node-crash cause makes the
-        move re-source from a surviving holder and start over, and a
-        transfer that exhausted its fabric retries falls back to another
-        source (ultimately the controller) before giving up.
-        """
-        controller = self.controller
-        rescues = 0
-        measured_from: float | None = None
-        while True:
-            try:
-                if producer is not None and not producer.processed:
-                    yield producer
-                if measured_from is None:
-                    # Profile from after the producer wait: the wait is
-                    # dependency stall, not data movement.
-                    measured_from = controller.engine.now
-                source_worker = controller.workers.get(src)
-                if source_worker is not None:
-                    wb = source_worker.writeback_seconds(array)
-                    if wb > 0:
-                        yield controller.engine.timeout(wb)
-                yield from controller.cluster.fabric.transfer_process(
-                    src, dst, array.nbytes, label=array.name)
-                if controller.profiler is not None and for_ce is not None:
-                    controller.profiler.record_transfer(
-                        for_ce, controller.engine.now - measured_from,
-                        nbytes=array.nbytes, node=dst)
-                return array.nbytes
-            except Interrupt as intr:
-                cause = intr.cause
-                if not (isinstance(cause, tuple) and cause
-                        and cause[0] == NODE_CRASH):
-                    raise
-                src = self.surviving_source(array, dst, exclude=cause[1])
-                controller.stats.count_rerouted()
-            except TransferError:
-                rescues += 1
-                if rescues > 3 or src == controller.cluster.controller.name:
-                    raise
-                src = self.surviving_source(array, dst, exclude=src)
-                controller.stats.count_rerouted()
-
     def surviving_source(self, array: "ManagedArray", dst: str,
-                         exclude: str | None = None) -> str:
-        """Best live holder to re-ship from; the controller is the
+                         exclude: str | None = None, *,
+                         avoid: "Sequence[str]" = ()) -> str:
+        """Best live holder to re-ship from, other than ``dst``,
+        ``exclude`` and the nodes in ``avoid``; the controller is the
         guaranteed last resort (it regains validity if nobody else holds
         the array)."""
         controller = self.controller
@@ -352,7 +309,7 @@ class DataMovementStage(Stage):
         state = controller.directory.state(array)
         candidates = [
             h for h in state.up_to_date
-            if h not in (dst, exclude)
+            if h not in (dst, exclude) and h not in avoid
             and (h == home or h in controller.workers)
         ]
         if not candidates:

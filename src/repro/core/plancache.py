@@ -33,7 +33,8 @@ the truth.
 
 **Invalidation.**  Structural events — worker added, worker crash,
 faults armed — bump the cache epoch and drop every plan; replayers
-notice the stale epoch on their next CE and fall back.  The store is a
+notice the stale epoch on their next CE and fall back.  An armed fault
+plan also stops recording for the rest of the run.  The store is a
 bounded LRU; everything is observable under the
 ``grout_plancache_*`` metrics.
 
@@ -51,7 +52,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.core.pipeline import FastMove
+from repro.core.pipeline import Move
 from repro.core.pipeline.base import SchedulingState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -152,7 +153,8 @@ class PlanCache:
     Owned by the controller when the ``plan_cache`` knob is on; sessions
     opened with a ``plan_key`` attach here (:meth:`attach`) and either
     replay a stored plan or record a new one.  Structural invalidation
-    goes through :meth:`invalidate_all`.
+    goes through :meth:`invalidate_all`; an armed fault plan goes through
+    :meth:`disarm`.
     """
 
     def __init__(self, controller: "Controller",
@@ -164,6 +166,9 @@ class PlanCache:
         #: Topology/fault generation; bumped on every structural change.
         #: Plans and replayers from older epochs are dead on arrival.
         self.epoch = 0
+        #: Whether cache misses record new plans (off once a fault plan
+        #: is armed, see :meth:`disarm`).
+        self.recording = True
         self._plans: "OrderedDict[str, SchedulePlan]" = OrderedDict()
         self._nbytes = 0
         registry = controller.metrics
@@ -186,18 +191,6 @@ class PlanCache:
         """Estimated bytes retained by stored plans."""
         return self._nbytes
 
-    def recordable(self) -> bool:
-        """Whether current fabric state allows recording *and* replay.
-
-        Mirrors the mover's FastMove precondition: armed fault
-        machinery (resilient fabric, chunked or retried transfers)
-        needs the interruptible generator path, which the replayer does
-        not reproduce.
-        """
-        fabric = self.controller.cluster.fabric
-        return (not fabric.resilient and fabric.chunk_bytes is None
-                and fabric.retry.attempt_timeout is None)
-
     # -- session attachment ------------------------------------------------------
 
     def attach(self, session: "Session") -> None:
@@ -212,7 +205,7 @@ class PlanCache:
         if plan is not None:  # pragma: no cover - epoch bumps clear
             self.discard(key)
         self._misses.inc()
-        if self.recordable():
+        if self.recording:
             session._plan_recorder = _PlanRecorder(self, session)
 
     # -- store maintenance -------------------------------------------------------
@@ -228,6 +221,13 @@ class PlanCache:
         self._nbytes = 0
         self._bytes.set(0)
         self.count_invalidation(reason)
+
+    def disarm(self, reason: str) -> None:
+        """A fault plan was armed: drop every plan and record none for
+        the rest of the run, so a chaos run always exercises the full
+        pipeline."""
+        self.invalidate_all(reason)
+        self.recording = False
 
     def discard(self, key: str, reason: str | None = None) -> None:
         """Drop one plan (no-op when absent); optionally counted."""
@@ -323,8 +323,7 @@ class _PlanRecorder:
     def commit(self) -> None:
         """Store the finished plan (session close hook)."""
         cache = self.cache
-        if (not self._steps or self._epoch != cache.epoch
-                or not cache.recordable()):
+        if not self._steps or self._epoch != cache.epoch:
             return
         steps = tuple(self._steps)
         cache.store(self.key, SchedulePlan(steps, cache.epoch,
@@ -384,8 +383,6 @@ class _PlanReplayer:
         controller = self._controller
         if cache.epoch != self.epoch:
             return self._fallback("stale-epoch")
-        if not cache.recordable():
-            return self._fallback("faults-armed")
         steps = self.plan.steps
         pos = self.pos
         if pos >= len(steps):
@@ -468,7 +465,7 @@ class _PlanReplayer:
                 producer = last.done if last is not None else None
                 if src != home:
                     stats.count_p2p()
-                ev = FastMove(mover, array, src, node, producer, ce)
+                ev = Move(mover, array, src, node, producer, ce)
                 directory.record_replication(
                     array, node, ev, src=src,
                     producer_id=last.ce_id if producer is not None

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Generator
 
+from repro.core.pipeline.movement import MAX_RESCUES, is_crash
 from repro.net.fabric import TransferError
 from repro.sim import Event, Interrupt, Process
 
@@ -37,14 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.controller import Controller
 
 __all__ = ["RelayPlan", "TransferPlanner"]
-
-#: Interrupt-cause tag of crash interruptions (mirrors controller's).
-_NODE_CRASH = "node-crash"
-
-#: How many times a leg re-sources after exhausted retries before
-#: giving up (crash re-sourcing is unbounded, like the point-to-point
-#: mover's).
-_MAX_RESCUES = 3
 
 
 class RelayPlan:
@@ -234,6 +227,7 @@ class TransferPlanner:
         start: float | None = None
         done_chunks = 0
         rescues = 0
+        xfer = None
         while done_chunks < len(plan.sizes):
             try:
                 while done_chunks < len(plan.sizes):
@@ -245,19 +239,20 @@ class TransferPlanner:
                         # Transfer attribution starts when data first
                         # could flow — producer/pipeline-fill excluded.
                         start = engine.now
-                    yield from fabric.chunk_process(
-                        src, dst, plan.sizes[i], array.name, i)
+                    xfer = fabric.transfer(src, dst, plan.sizes[i],
+                                           array.name, chunk=i)
+                    yield xfer
                     done_chunks += 1
                     plan.mark(dst, i)
             except Interrupt as intr:
-                cause = intr.cause
-                if not (isinstance(cause, tuple) and cause
-                        and cause[0] == _NODE_CRASH):
+                if xfer is not None:
+                    xfer.cancel()      # free its NIC ends now
+                if not is_crash(intr):
                     raise
-                src = self._resource(plan, dst, exclude=cause[1])
+                src = self._resource(plan, dst, exclude=intr.cause[1])
             except TransferError:
                 rescues += 1
-                if rescues > _MAX_RESCUES or src == plan.source:
+                if rescues > MAX_RESCUES or src == plan.source:
                     raise
                 src = self._resource(plan, dst, exclude=src)
         end = engine.now
@@ -283,24 +278,11 @@ class TransferPlanner:
         fine — their chunks arrive regardless of ``dst``'s fate.
         """
         controller = self.controller
-        home = controller.cluster.controller.name
+        downstream = plan.chain[plan.chain.index(dst):] \
+            if dst in plan.chain else ()
+        src = controller.pipeline.stage("data-movement").surviving_source(
+            plan.array, dst, exclude, avoid=downstream)
         state = controller.directory.state(plan.array)
-        downstream = set(plan.chain[plan.chain.index(dst):]) \
-            if dst in plan.chain else {dst}
-        topology = controller.cluster.topology
-        nbytes = plan.array.nbytes
-        candidates = [h for h in state.up_to_date
-                      if h != exclude and h not in downstream
-                      and (h == home or h in controller.workers)]
-        if candidates:
-            src = min(candidates,
-                      key=lambda h: (h == home, topology.transfer_seconds(
-                          h, dst, nbytes), h))
-        else:
-            # Last resort mirrors the point-to-point mover: the home
-            # copy survives rollback, so fall back to the controller.
-            state.up_to_date.add(home)
-            src = home
         if dst in state.inflight_src:
             state.inflight_src[dst] = src
         self._m_resourced.inc()

@@ -167,15 +167,8 @@ class GroutRuntime:
                            "worker state)")
         cluster = self.cluster
         controller = self.controller
-        # Faults are coming: every transfer must be interruptible and
-        # release its NIC ends mid-wire, so disable the fast-path chain
-        # for the whole run up front (keeps schedules deterministic
-        # regardless of when the first fault actually fires).
-        cluster.fabric.resilient = True
         if controller.plan_cache is not None:
-            # Recorded plans replay the non-resilient fast-path moves;
-            # none survive an armed fault plan.
-            controller.plan_cache.invalidate_all("faults")
+            controller.plan_cache.disarm("faults")
 
         def crash(fault):
             controller.handle_worker_crash(

@@ -10,31 +10,26 @@ async wait-events on ancestor computations).
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Callable, Generator, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.sim import Engine, Event, Tracer
 from repro.sim.events import EventState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gpu.device import Gpu
-    from repro.sim import Process, Resource
+    from repro.sim import Resource
 
 _PROCESSED = EventState.PROCESSED
 
-#: An operation body: a generator receiving the engine, run when the stream
-#: reaches it.  Its (simulated) duration is whatever the generator consumes.
-OpBody = Callable[[], Generator]
 
+class StreamOp:
+    """One stream operation as an explicit callback chain.
 
-class FastOp:
-    """A generator-free stream operation: an explicit callback chain.
-
-    The common case — wait for prereqs, price, maybe hold the host link,
-    sleep the kernel duration, complete — is straight-line, so it runs as
-    engine ``schedule_call`` hops instead of a :class:`Process` driving a
-    generator.  Queue-hop parity with the generator path is deliberate
-    (one delivery per logical wait), which keeps schedules byte-identical;
-    each hop is just far cheaper.
+    An op is straight-line — wait for prereqs, price, maybe hold the host
+    link, sleep the kernel duration, complete — so it runs as engine
+    ``schedule_call`` hops: one delivery per logical wait (a start hop,
+    the prereq join, the link grant, each sleep), with no generator or
+    :class:`~repro.sim.Process` underneath.
 
     Cancellation (node crash) marks the op dead: pending scheduled calls
     deliver as no-ops — exactly like a detached process's stale timeout —
@@ -47,7 +42,7 @@ class FastOp:
                  "_held", "_hold_seconds", "_sleep_seconds", "_next",
                  "_pending_joins")
 
-    def __init__(self, stream: "Stream", begin_fn: Callable[["FastOp"], None],
+    def __init__(self, stream: "Stream", begin_fn: Callable[["StreamOp"], None],
                  name: str, category: str, meta: dict | None, key: int):
         engine = stream.engine
         self.stream = stream
@@ -64,7 +59,7 @@ class FastOp:
         self._held = None
         self._hold_seconds = 0.0
         self._sleep_seconds = 0.0
-        self._next: Callable[["FastOp"], None] | None = None
+        self._next: Callable[["StreamOp"], None] | None = None
         self._pending_joins = 0
 
     # -- chain stages (engine-delivered) ------------------------------------
@@ -113,10 +108,10 @@ class FastOp:
 
     def hold_then_sleep(self, resource: "Resource", hold_seconds: float,
                         sleep_seconds: float,
-                        then: Callable[["FastOp"], None]) -> None:
+                        then: Callable[["StreamOp"], None]) -> None:
         """Hold ``resource`` for ``hold_seconds``, sleep ``sleep_seconds``,
-        then continue — mirrors ``yield from resource.acquire(h)`` followed
-        by ``yield timeout(s)`` hop for hop."""
+        then continue: one delivery for the grant, one at the end of the
+        hold and one at the end of a non-zero sleep."""
         self._hold_seconds = hold_seconds
         self._sleep_seconds = sleep_seconds
         self._next = then
@@ -140,9 +135,8 @@ class FastOp:
             self._run_next(None)
 
     def sleep(self, seconds: float,
-              then: Callable[["FastOp"], None]) -> None:
-        """Continue after ``seconds``; zero continues synchronously, the
-        same as the generator path skipping its ``yield timeout``."""
+              then: Callable[["StreamOp"], None]) -> None:
+        """Continue after ``seconds``; zero continues synchronously."""
         self._next = then
         if seconds > 0:
             self.engine.schedule_call(seconds, self._run_next)
@@ -186,7 +180,7 @@ class FastOp:
 
     def __repr__(self) -> str:
         state = "dead" if self._dead else "live"
-        return f"<FastOp {self.stream.lane}:{self.name} {state}>"
+        return f"<StreamOp {self.stream.lane}:{self.name} {state}>"
 
 
 class Stream:
@@ -208,10 +202,10 @@ class Stream:
         self._tail: Event | None = None   # completion of last enqueued op
         self._ops_enqueued = 0
         self._busy_until = 0.0            # bookkeeping for policies
-        #: Live op processes, keyed by op index.  Each runner removes its
-        #: own entry on exit, so membership is O(1) per op instead of a
-        #: liveness rescan of the whole history on every enqueue.
-        self._runners: dict[int, "Process"] = {}
+        #: Live ops, keyed by op index.  Each op removes its own entry
+        #: on exit, so membership is O(1) per op instead of a liveness
+        #: rescan of the whole history on every enqueue.
+        self._runners: dict[int, StreamOp] = {}
 
     @property
     def gpu(self) -> "Gpu | None":
@@ -228,61 +222,23 @@ class Stream:
         """Completion event of the most recently enqueued operation."""
         return self._tail
 
-    def enqueue(self, body: OpBody, *, name: str = "op",
-                category: str = "kernel",
+    def enqueue(self, begin: Callable[[StreamOp], None], *,
+                name: str = "op", category: str = "kernel",
                 waits: Sequence[Event] = (),
                 meta: dict | None = None) -> Event:
         """Queue an operation; returns its completion event.
 
         ``waits`` are additional events (CUDA wait-events) that must fire
-        before the operation may start, on top of stream FIFO order.
-        ``meta`` attributes (e.g. the owning ``ce`` id) are attached to
-        the recorded span, alongside the measured ``queued_seconds``
-        between enqueue and start.
-        """
-        done = self.engine.event(name=f"{self.lane}:{name}:done")
-        prereqs = [e for e in ([self._tail] if self._tail else []) + list(waits)
-                   if e is not None]
-        self._ops_enqueued += 1
-        enqueued_at = self.engine.now
-
-        def runner() -> Generator:
-            if prereqs:
-                yield self.engine.all_of(prereqs)
-            start = self.engine.now
-            result = yield from body()
-            end = self.engine.now
-            self._busy_until = max(self._busy_until, end)
-            if self.tracer is not None:
-                extra = dict(meta) if meta else {}
-                extra["queued_seconds"] = start - enqueued_at
-                self.tracer.record(self.lane, category, name, start, end,
-                                   **extra)
-            done.succeed(result)
-
-        proc = self.engine.process(runner(), name=f"{self.lane}:{name}")
-        key = self._ops_enqueued
-        self._runners[key] = proc
-        proc.callbacks.append(
-            lambda _ev, _pop=self._runners.pop, _key=key: _pop(_key, None))
-        self._tail = done
-        return done
-
-    def enqueue_call(self, begin: Callable[[FastOp], None], *,
-                     name: str = "op", category: str = "kernel",
-                     waits: Sequence[Event] = (),
-                     meta: dict | None = None) -> Event:
-        """Queue a generator-free operation; returns its completion event.
-
-        The fast-path twin of :meth:`enqueue`: once FIFO order and
-        ``waits`` allow, ``begin(op)`` runs and drives the rest of the op
-        through :class:`FastOp`'s continuation primitives, ending in
-        ``op.finish(result)``.  Queue-hop parity with the generator path
-        keeps the event schedule byte-identical.
+        before the operation may start, on top of stream FIFO order.  Once
+        both allow, ``begin(op)`` runs and drives the rest of the op
+        through :class:`StreamOp`'s continuation primitives, ending in
+        ``op.finish(result)``.  ``meta`` attributes (e.g. the owning
+        ``ce`` id) are attached to the recorded span, alongside the
+        measured ``queued_seconds`` between enqueue and start.
         """
         self._ops_enqueued += 1
         key = self._ops_enqueued
-        op = FastOp(self, begin, name, category, meta, key)
+        op = StreamOp(self, begin, name, category, meta, key)
         tail = self._tail
         prereqs = [e for e in ([tail] if tail is not None else [])
                    + list(waits) if e is not None]
@@ -303,8 +259,8 @@ class Stream:
         Returns the number of ops aborted.
         """
         aborted = 0
-        for proc in list(self._runners.values()):
-            if proc.cancel(cause):
+        for op in list(self._runners.values()):
+            if op.cancel(cause):
                 aborted += 1
         self._runners.clear()
         return aborted

@@ -8,21 +8,23 @@ P2P worker transfers ride on.
 
 Transfers are failure-aware: a :class:`RetryPolicy` adds per-attempt
 timeouts and retry-with-exponential-backoff, and the fault-injection layer
-(:mod:`repro.sim.faults`) can make an attempt flake mid-wire.  With the
-default policy and no injected faults the event schedule is byte-identical
-to the fault-oblivious fabric — resilience costs nothing until it is
-needed.
+(:mod:`repro.sim.faults`) can make an attempt flake mid-wire.  Every
+transfer, faulted or not, is one :class:`Transfer` callback chain; with
+the default policy and no injected faults it takes exactly one delivery
+per NIC grant plus one at its wire end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator
 
 from repro.obs import MetricsRegistry
 from repro.obs import install as install_metrics
-from repro.sim import Engine, Event, Interrupt, Resource, SimError, Tracer
+from repro.sim import Engine, Event, Resource, SimError, Tracer
+from repro.sim.events import EventState
 from repro.net.topology import Topology
+
+_PROCESSED = EventState.PROCESSED
 
 
 class TransferError(SimError):
@@ -81,74 +83,177 @@ class _Flake:
                 and (self.dst is None or self.dst == dst))
 
 
-class _FastTransfer(Event):
-    """The no-fault common-case transfer as a callback chain.
+class Transfer(Event):
+    """One fabric transfer as a callback chain; fires at its last wire end.
 
-    Replaces the three nested generator frames of ``transfer_process →
-    _reliable → _attempt`` with engine callbacks, with exact queue-hop
-    parity: rx-grant delivery, tx-grant delivery, then the event itself
-    is scheduled at wire end via ``succeed_at``.  The finisher (metrics,
-    span, NIC releases in tx-then-rx order) is the event's *first*
-    callback, so it runs before any waiter resumes — the same order the
-    generator's ``finally`` produced.
+    Each attempt takes an ingress grant, then an egress grant (so queuing
+    on a busy destination never pins a source egress slot), then crosses
+    the wire.  Chunks land through ``schedule_call`` and queue again; the
+    last wire end is the event's own delivery.  A flake frees both ends
+    half way through the wire, then the attempt backs off (``retry``
+    span) and queues again — or, on the last attempt, the event fails
+    right there.  The watchdog is a cancellable timer while an attempt
+    queues; on the wire it fires only if it would beat the wire end.
 
-    Only built when the fabric is not in resilient mode: no armed
-    flakes, no per-attempt watchdog, no chunking, and no fault plan
-    installed.  The chain is not interruptible — callers needing crash
-    re-sourcing (the resilient mover) get the generator path instead.
+    ``first`` numbers the first chunk (``None``: unchunked); ``whole``
+    counts one logical transfer at the end.  With nothing to move the
+    event is born processed.
     """
 
-    __slots__ = ("fabric", "src", "dst", "nbytes", "label",
-                 "_rx", "_tx", "_wire_start", "_dead")
+    __slots__ = ("fabric", "src", "dst", "label", "sizes", "first",
+                 "whole", "attempt", "_k", "_wire", "_total", "_start",
+                 "_rx", "_tx", "_deadline", "_watchdog", "_dead")
 
-    def __init__(self, fabric: "Fabric", src: str, dst: str, nbytes: int,
-                 label: str):
+    def __init__(self, fabric: "Fabric", src: str, dst: str,
+                 sizes: list[int], label: str, first: int | None = None,
+                 whole: bool = True):
         super().__init__(fabric.engine, name=f"net:{src}->{dst}:{label}")
         self.fabric = fabric
         self.src = src
         self.dst = dst
-        self.nbytes = nbytes
         self.label = label
-        self._tx = None
-        self._wire_start = 0.0
+        self.sizes = sizes
+        self.first = first
+        self.whole = whole
+        self.attempt = 1
+        self._k = 0
+        self._wire = self._total = self._start = 0.0
+        self._rx = self._tx = self._deadline = self._watchdog = None
         self._dead = False
+        if not sizes:
+            self._value = 0.0
+            self._state = _PROCESSED
+            return
         self.callbacks.append(self._finish)
-        # Ingress first: queuing on a busy destination must not pin one
-        # of the source's egress slots (same rationale as _attempt).
-        rx = fabric._ingress[dst].request()
-        self._rx = rx
-        rx.callbacks.append(self._on_rx)
+        self._request()
 
-    def _on_rx(self, _ev: Event) -> None:
+    def _granule(self) -> str:
+        if self.first is None:
+            return self.label
+        return f"{self.label}#c{self.first + self._k}"
+
+    def _request(self) -> None:
+        fabric = self.fabric
+        rx = self._rx = fabric._ingress[self.dst].request()
+        rx.callbacks.append(self._on_rx)
+        timeout = fabric.retry.attempt_timeout
+        if timeout is not None:
+            self._deadline = fabric.engine.now + timeout
+            watchdog = self._watchdog = fabric.engine.timeout(timeout)
+            watchdog.callbacks.append(self._lost)
+
+    def _on_rx(self, ev: Event) -> None:
+        if ev is self._rx:  # else freed by a watchdog or cancel
+            tx = self._tx = self.fabric._egress[self.src].request()
+            tx.callbacks.append(self._on_tx)
+
+    def _on_tx(self, ev: Event) -> None:
+        if ev is not self._tx:
+            return
+        fabric = self.fabric
+        engine = fabric.engine
+        if self._watchdog is not None:
+            self._watchdog.cancel()
+        src, dst = self.src, self.dst
+        self._start = now = engine.now
+        wire = self._wire = fabric.topology.transfer_seconds(
+            src, dst, self.sizes[self._k])
+        flaked = fabric._flakes and fabric._consume_flake(src, dst)
+        end = wire / 2 if flaked else wire
+        if self._deadline is not None and now + end >= self._deadline:
+            engine.schedule_call(self._deadline - now, self._lost)
+        elif flaked:
+            exc = TransferError(f"transfer {src}->{dst} "
+                                f"({self._granule()}) flaked mid-wire")
+            if self.attempt >= fabric.retry.max_attempts:
+                self.fail_at(end, exc)
+            else:
+                engine.schedule_call(end, self._lost, exc)
+        elif self._k == len(self.sizes) - 1:
+            self.succeed_at(wire, value=self._total + wire)
+        else:
+            engine.schedule_call(wire, self._landed)
+
+    def _lost(self, exc: object = None) -> None:
+        """The attempt failed: flaked (``exc`` is the error) or timed out
+        (anything else).  Free both ends, then back off or fail."""
         if self._dead:
             return
-        tx = self.fabric._egress[self.src].request()
-        self._tx = tx
-        tx.callbacks.append(self._on_tx)
+        self._release()
+        fabric = self.fabric
+        policy = fabric.retry
+        if not isinstance(exc, TransferError):
+            fabric._m_timeouts.inc()
+            exc = TransferError(
+                f"transfer {self.src}->{self.dst} ({self._granule()}) "
+                f"timed out after {policy.attempt_timeout:g}s")
+        if self.attempt >= policy.max_attempts:
+            self.fail(exc)
+            return
+        fabric._m_retries.inc()
+        if self.first is not None:
+            fabric._m_chunk_retries.inc()
+        delay = policy.backoff(self.attempt)
+        if delay > 0:
+            fabric.engine.schedule_call(delay, self._retry,
+                                        fabric.engine.now)
+        else:
+            self._retry(fabric.engine.now)
 
-    def _on_tx(self, _ev: Event) -> None:
+    def _retry(self, start: float) -> None:
         if self._dead:
             return
         fabric = self.fabric
-        self._wire_start = fabric.engine.now
-        wire = fabric.topology.transfer_seconds(self.src, self.dst,
-                                                self.nbytes)
-        if fabric._flakes and fabric._consume_flake(self.src, self.dst):
-            # A flake armed after this chain spawned (not reachable through
-            # the fault injector, which flips resilient mode first): spend
-            # half the wire, release both ends, fail the transfer.
-            fabric.engine.schedule_call(wire / 2, self._flaked)
-            return
-        self.succeed_at(wire, value=wire)
+        if fabric.tracer is not None:
+            fabric.tracer.record(
+                f"net:{self.src}->{self.dst}", "retry",
+                f"{self._granule()}#retry{self.attempt}", start,
+                fabric.engine.now, attempt=self.attempt,
+                backoff=fabric.retry.backoff(self.attempt))
+        self.attempt += 1
+        self._request()
 
-    def abort(self) -> None:
-        """Release both NIC ends after the waiter was interrupted or
-        cancelled; any still-pending chain delivery becomes a no-op.
-        Mirrors the generator attempt's ``finally`` (tx then rx, at the
-        interrupt's timestamp — not at wire end)."""
-        if self._dead or self.processed:
+    def _landed(self, _arg: object) -> None:
+        if not self._dead:
+            self._account()
+            self._k += 1
+            self.attempt = 1
+            self._request()
+
+    def _finish(self, _ev: Event) -> None:
+        if self._dead:
             return
-        self._dead = True
+        if self._ok:
+            self._account()
+        else:
+            self.fabric._m_failures.inc()
+            self._release()
+
+    def _account(self) -> None:
+        """Tally and trace the granule that just landed, free its ends."""
+        fabric = self.fabric
+        src, dst = self.src, self.dst
+        nbytes = self.sizes[self._k]
+        chunk = None if self.first is None else self.first + self._k
+        self._total += self._wire
+        link = fabric._link_handle
+        link(fabric._h_bytes, fabric._m_bytes, src, dst).inc(nbytes)
+        link(fabric._h_wire, fabric._m_wire, src, dst).inc(self._wire)
+        if chunk is not None:
+            link(fabric._h_chunks, fabric._m_chunks, src, dst).inc()
+        if chunk is None or self.whole and self._k == len(self.sizes) - 1:
+            link(fabric._h_transfers, fabric._m_transfers, src, dst).inc()
+        tracer = fabric.tracer
+        if tracer is not None and chunk is None:
+            tracer.record(f"net:{src}->{dst}", "transfer", self.label,
+                          self._start, fabric.engine.now, nbytes=nbytes)
+        elif tracer is not None:
+            tracer.record(f"net:{src}->{dst}", "chunk", self._granule(),
+                          self._start, fabric.engine.now, nbytes=nbytes,
+                          chunk=chunk)
+        self._release()
+
+    def _release(self) -> None:
         tx, self._tx = self._tx, None
         if tx is not None:
             self.fabric._egress[self.src].release(tx)
@@ -156,34 +261,18 @@ class _FastTransfer(Event):
         if rx is not None:
             self.fabric._ingress[self.dst].release(rx)
 
-    def _flaked(self, _arg: object) -> None:
-        if self._dead:
-            return
-        fabric = self.fabric
-        fabric._egress[self.src].release(self._tx)
-        fabric._ingress[self.dst].release(self._rx)
-        self.fail(TransferError(
-            f"transfer {self.src}->{self.dst} ({self.label}) flaked "
-            "mid-wire"))
-
-    def _finish(self, _ev: Event) -> None:
-        if self._dead or not self._ok:
-            return  # aborted, or the flake path already released the ends
-        fabric = self.fabric
-        wire = self._value
-        src, dst = self.src, self.dst
-        fabric._link_handle(fabric._h_bytes, fabric._m_bytes,
-                            src, dst).inc(self.nbytes)
-        fabric._link_handle(fabric._h_wire, fabric._m_wire,
-                            src, dst).inc(wire)
-        fabric._link_handle(fabric._h_transfers, fabric._m_transfers,
-                            src, dst).inc()
-        if fabric.tracer is not None:
-            fabric.tracer.record(f"net:{src}->{dst}", "transfer",
-                                 self.label, self._wire_start,
-                                 fabric.engine.now, nbytes=self.nbytes)
-        fabric._egress[src].release(self._tx)
-        fabric._ingress[dst].release(self._rx)
+    def cancel(self, cause: object = None) -> bool:
+        """Stop now and free both NIC ends; the event never fires (a
+        queued delivery lands as a no-op).  Returns whether it ran."""
+        self._defused = True
+        if self._dead or self._state is _PROCESSED:
+            return False
+        self._dead = True
+        self.callbacks = []
+        self._release()
+        if self._watchdog is not None:
+            self._watchdog.cancel()
+        return True
 
 
 class Fabric:
@@ -235,12 +324,6 @@ class Fabric:
         self._h_transfers: dict[tuple[str, str], object] = {}
         self._h_chunks: dict[tuple[str, str], object] = {}
         self._flakes: list[_Flake] = []
-        #: Sticky fault-awareness latch.  While ``False`` (the default)
-        #: eligible transfers run as :class:`_FastTransfer` callback
-        #: chains; once any fault machinery arms (flake injection, a
-        #: fault plan, a node crash) every transfer takes the generator
-        #: path, which is interruptible and releases NIC ends mid-wire.
-        self.resilient = False
 
     def _link_handle(self, cache: dict, family, src: str, dst: str):
         key = (src, dst)
@@ -310,7 +393,6 @@ class Fabric:
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        self.resilient = True
         self._flakes.append(_Flake(src, dst, count))
 
     def _consume_flake(self, src: str, dst: str) -> bool:
@@ -321,122 +403,6 @@ class Fabric:
                     self._flakes.remove(flake)
                 return True
         return False
-
-    # -- transfers ----------------------------------------------------------
-
-    def _attempt(self, src: str, dst: str, nbytes: int,
-                 label: str, chunk: int | None = None) -> Generator:
-        """One try: acquire both NIC ends, cross the wire, release.
-
-        Both acquisitions live inside the guarded region so an
-        interrupted or flaked attempt always releases both ends —
-        releasing a still-queued request cancels it.  ``chunk`` marks a
-        pipelined sub-transfer: the span and per-link tally then land in
-        the chunk category instead of counting a whole transfer.
-        """
-        rx = tx = None
-        try:
-            # Ingress first: queuing on a busy destination must not pin one
-            # of the source's egress slots (head-of-line blocking would
-            # serialise a fat NIC's flows to different destinations).
-            rx = self._ingress[dst].request()
-            yield rx
-            tx = self._egress[src].request()
-            yield tx
-            start = self.engine.now
-            wire = self.topology.transfer_seconds(src, dst, nbytes)
-            if self._consume_flake(src, dst):
-                # The wire drops halfway through: time is spent, no bytes
-                # arrive, both NIC ends are released by the finally below.
-                yield self.engine.timeout(wire / 2)
-                raise TransferError(
-                    f"transfer {src}->{dst} ({label}) flaked mid-wire")
-            yield self.engine.timeout(wire)
-            self._link_handle(self._h_bytes, self._m_bytes,
-                              src, dst).inc(nbytes)
-            self._link_handle(self._h_wire, self._m_wire,
-                              src, dst).inc(wire)
-            if chunk is None:
-                self._link_handle(self._h_transfers, self._m_transfers,
-                                  src, dst).inc()
-            else:
-                self._link_handle(self._h_chunks, self._m_chunks,
-                                  src, dst).inc()
-            if self.tracer is not None:
-                category = "transfer" if chunk is None else "chunk"
-                meta = {"nbytes": nbytes}
-                if chunk is not None:
-                    meta["chunk"] = chunk
-                self.tracer.record(f"net:{src}->{dst}", category, label,
-                                   start, self.engine.now, **meta)
-            return wire
-        finally:
-            if tx is not None:
-                self._egress[src].release(tx)
-            if rx is not None:
-                self._ingress[dst].release(rx)
-
-    def _attempt_with_watchdog(self, src: str, dst: str, nbytes: int,
-                               label: str,
-                               chunk: int | None = None) -> Generator:
-        """Run one attempt as a subprocess raced against the watchdog."""
-        assert self.retry.attempt_timeout is not None
-        proc = self.engine.process(
-            self._attempt(src, dst, nbytes, label, chunk),
-            name=f"net:{src}->{dst}:{label}:attempt")
-        watchdog = self.engine.timeout(self.retry.attempt_timeout)
-        try:
-            yield self.engine.any_of([proc, watchdog])
-        except TransferError:
-            watchdog.cancel()
-            raise          # the attempt flaked before the watchdog fired
-        except Interrupt:
-            proc.cancel("caller interrupted")
-            watchdog.cancel()
-            raise
-        if proc.triggered and proc.ok:
-            # The attempt won: neutralize the stale watchdog so it never
-            # pads the queue or drags a drain-mode run() out to its
-            # horizon (the any_of resolved, nobody else waits on it).
-            watchdog.cancel()
-            return proc.value
-        # Watchdog won the race: kill the attempt (its finally releases
-        # both NIC ends) and report the stall.
-        proc.cancel("transfer-timeout")
-        self._m_timeouts.inc()
-        raise TransferError(
-            f"transfer {src}->{dst} ({label}) timed out after "
-            f"{self.retry.attempt_timeout:g}s")
-
-    def _reliable(self, src: str, dst: str, nbytes: int, label: str,
-                  chunk: int | None = None) -> Generator:
-        """Retry loop around one attempt (whole transfer or one chunk)."""
-        policy = self.retry
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                if policy.attempt_timeout is None:
-                    return (yield from self._attempt(src, dst, nbytes,
-                                                     label, chunk))
-                return (yield from self._attempt_with_watchdog(
-                    src, dst, nbytes, label, chunk))
-            except TransferError:
-                if attempt >= policy.max_attempts:
-                    self._m_failures.inc()
-                    raise
-                self._m_retries.inc()
-                if chunk is not None:
-                    self._m_chunk_retries.inc()
-                delay = policy.backoff(attempt)
-                start = self.engine.now
-                if delay > 0:
-                    yield self.engine.timeout(delay)
-                if self.tracer is not None:
-                    self.tracer.record(
-                        f"net:{src}->{dst}", "retry",
-                        f"{label}#retry{attempt}", start, self.engine.now,
-                        attempt=attempt, backoff=delay)
 
     # -- chunking ------------------------------------------------------------
 
@@ -458,65 +424,31 @@ class Fabric:
         full, rest = divmod(nbytes, chunk)
         return [chunk] * full + ([rest] if rest else [])
 
-    def chunk_process(self, src: str, dst: str, nbytes: int,
-                      label: str, index: int) -> Generator:
-        """Process body moving one pipeline chunk (retries re-send only
-        this chunk); returns its wire seconds."""
-        if src == dst or nbytes == 0:
-            return 0.0
-        return (yield from self._reliable(src, dst, nbytes,
-                                          f"{label}#c{index}", index))
+    def transfer(self, src: str, dst: str, nbytes: int,
+                 label: str = "transfer", chunk_bytes: int | None = None,
+                 *, chunk: int | None = None) -> Transfer:
+        """Start moving ``nbytes`` from ``src`` to ``dst``.
 
-    def transfer_process(self, src: str, dst: str, nbytes: int,
-                         label: str = "transfer",
-                         chunk_bytes: int | None = None) -> Generator:
-        """Process body moving ``nbytes`` from ``src`` to ``dst``.
-
-        Yields inside; returns the wire seconds actually spent (excluding
-        queueing).  Zero-byte or same-node transfers complete immediately.
-        Failed attempts (flake or watchdog timeout) retry with
-        exponential backoff up to ``retry.max_attempts``; exhausting them
-        raises :class:`TransferError` to the caller.
-
-        ``chunk_bytes`` (per-call, else the fabric default) splits the
-        move into pipelined chunks: a failed chunk re-sends only itself,
-        the watchdog bounds each chunk's stall, and the NIC ends are
-        re-arbitrated between chunks so concurrent flows interleave.
-        With both ``None`` the classic single-shot path runs and the
-        event schedule is byte-identical to an unchunked fabric.
+        Returns the :class:`Transfer`, which fires with the wire seconds
+        spent (queueing excluded), or fails with :class:`TransferError`
+        once ``retry.max_attempts`` flaked or timed-out attempts are
+        spent.  ``chunk_bytes`` (per call, else the fabric default)
+        pipelines the payload: a failed chunk re-sends only itself, the
+        watchdog bounds each chunk, and flows re-arbitrate the NIC ends
+        between chunks.  ``chunk`` instead sends chunk number ``chunk``
+        of a relay pipeline: chunk spans and tallies, no logical
+        transfer counted.
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
         if src == dst or nbytes == 0:
-            return 0.0
-        chunk = chunk_bytes if chunk_bytes is not None else self.chunk_bytes
-        if chunk is None:
-            if not self.resilient and self.retry.attempt_timeout is None:
-                # Common case: no faults armed, no watchdog, no chunking.
-                # The callback chain has exact queue-hop parity with
-                # _reliable -> _attempt, so the schedule is unchanged.
-                fast = _FastTransfer(self, src, dst, nbytes, label)
-                try:
-                    return (yield fast)
-                except BaseException:
-                    # Interrupted or cancelled waiter: free the NIC ends
-                    # now, like the generator attempt's finally.
-                    fast.abort()
-                    raise
-            return (yield from self._reliable(src, dst, nbytes, label))
-        if chunk < 1:
+            return Transfer(self, src, dst, [], label)
+        if chunk is not None:
+            return Transfer(self, src, dst, [nbytes], label, chunk, False)
+        step = chunk_bytes if chunk_bytes is not None else self.chunk_bytes
+        if step is None:
+            return Transfer(self, src, dst, [nbytes], label)
+        if step < 1:
             raise ValueError("chunk_bytes must be >= 1 (or None)")
-        total_wire = 0.0
-        for i, size in enumerate(self.chunk_sizes(nbytes, chunk)):
-            total_wire += yield from self._reliable(
-                src, dst, size, f"{label}#c{i}", i)
-        self._link_handle(self._h_transfers, self._m_transfers,
-                          src, dst).inc()
-        return total_wire
-
-    def transfer(self, src: str, dst: str, nbytes: int,
-                 label: str = "transfer") -> Event:
-        """Spawn a transfer; the returned process event fires on completion."""
-        return self.engine.process(
-            self.transfer_process(src, dst, nbytes, label),
-            name=f"net:{src}->{dst}:{label}")
+        return Transfer(self, src, dst, self.chunk_sizes(nbytes, step),
+                        label, 0)

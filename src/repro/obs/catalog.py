@@ -182,7 +182,7 @@ PLANCACHE_METRICS: tuple[MetricSpec, ...] = (
     MetricSpec("grout_plancache_invalidations_total", "counter",
                "Plans dropped or replays abandoned, by reason "
                "(topology, crash, faults, evicted, divergence, "
-               "shared-buffer, stale-epoch, stale-node, faults-armed).",
+               "shared-buffer, stale-epoch, stale-node).",
                labels=("reason",)),
     MetricSpec("grout_plancache_bytes", "gauge",
                "Estimated bytes retained by stored schedule plans.",

@@ -8,6 +8,9 @@ bounded quanta whenever work is in flight, resolving each request's
 future as its session completes.  Hundreds of concurrent connections
 therefore multiplex onto one cooperative simulation.
 
+If ``service.pump()`` raises, the pump stops and says so: waiting runs
+get a 500 carrying the error, ``/healthz`` and later runs a 503.
+
 Endpoints::
 
     GET  /healthz      -> {"status": "ok"}
@@ -39,7 +42,8 @@ PUMP_QUANTUM = 2048
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
-            429: "Too Many Requests", 503: "Service Unavailable"}
+            429: "Too Many Requests", 500: "Internal Server Error",
+            503: "Service Unavailable"}
 
 MAX_BODY = 8 * 1024 * 1024
 
@@ -65,6 +69,8 @@ class GroutDaemon:
         self._stop = asyncio.Event()
         self._work = asyncio.Event()       # set while tickets are open
         self._waiters: dict[int, asyncio.Future] = {}
+        #: What killed the pump, traceback attached; ``None`` while alive.
+        self.pump_error: Exception | None = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -104,7 +110,8 @@ class GroutDaemon:
                 await self._pump_task
             except asyncio.CancelledError:
                 pass
-            self.service.close()
+            # A dead pump left the simulation mid-step: do not run it on.
+            self.service.close(settle=self.pump_error is None)
 
     def stop(self) -> None:
         """Request a clean exit of :meth:`run`."""
@@ -118,12 +125,28 @@ class GroutDaemon:
             await self._work.wait()
             if self._stop.is_set():
                 return
-            finished = self.service.pump(PUMP_QUANTUM)
+            try:
+                finished = self.service.pump(PUMP_QUANTUM)
+            except Exception as exc:
+                self._pump_died(exc)
+                return
             self._resolve(finished)
             if not self.service.inflight():
                 self._work.clear()
             # Yield so connection handlers run between quanta.
             await asyncio.sleep(0)
+
+    def _pump_died(self, exc: Exception) -> None:
+        self.pump_error = exc
+        waiters, self._waiters = self._waiters, {}
+        for future in waiters.values():
+            if not future.done():
+                future.set_exception(self._dead_pump(500))
+
+    def _dead_pump(self, status: int) -> _HttpError:
+        exc = self.pump_error
+        return _HttpError(status, f"simulation pump died: "
+                                  f"{type(exc).__name__}: {exc}")
 
     def _resolve(self, finished: list[Ticket]) -> None:
         for ticket in finished:
@@ -187,6 +210,9 @@ class GroutDaemon:
                      ) -> tuple[int, dict | str]:
         target = target.split("?", 1)[0]
         if target == "/healthz" and method == "GET":
+            if self.pump_error is not None:
+                return 503, {"status": "error",
+                             "error": str(self._dead_pump(503))}
             return 200, {"status": "ok"}
         if target == "/v1/status" and method == "GET":
             return 200, self.service.status()
@@ -194,6 +220,8 @@ class GroutDaemon:
             from repro.obs import to_prometheus_text
             return 200, to_prometheus_text(self.service.runtime.metrics)
         if target == "/v1/run" and method == "POST":
+            if self.pump_error is not None:
+                raise self._dead_pump(503)
             try:
                 payload = json.loads(body.decode("utf-8") or "null")
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:

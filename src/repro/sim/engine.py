@@ -100,9 +100,9 @@ class Engine:
     def events_processed(self) -> int:
         """Deliveries since the engine started (throughput metric).
 
-        Counts both Event deliveries and fast-path ``schedule_call``
-        deliveries — one per logical wait either way, so the number is
-        comparable across the generator and callback-chain paths.
+        Counts both Event deliveries and ``schedule_call`` deliveries —
+        one per logical wait either way, so the number is comparable
+        between a process body and a callback chain with the same waits.
         """
         return self._processed
 
@@ -152,10 +152,11 @@ class Engine:
         A straight-line "wait t, then continue" step costs one recycled
         ``_Call`` and one queue slot: no Process, no generator resume, no
         Timeout object.  The delivery counts toward
-        :attr:`events_processed` exactly like an event would, keeping hop
-        parity with the generator path.  Returns ``None`` — the call
-        cannot be cancelled; guard staleness inside ``fn`` instead (the
-        same discipline a detached process callback needs).
+        :attr:`events_processed` exactly like an event would, so a chain
+        takes the same hops as the process body it stands for.  Returns
+        ``None`` — the call cannot be cancelled; guard staleness inside
+        ``fn`` instead (the same discipline a detached process callback
+        needs).
         """
         if delay < 0:
             raise ValueError(f"negative call delay: {delay}")

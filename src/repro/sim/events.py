@@ -122,14 +122,21 @@ class Event:
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed; waiters get the exception thrown."""
+        return self.fail_at(0.0, exception)
+
+    def fail_at(self, delay: float, exception: BaseException) -> "Event":
+        """Trigger the event as failed, delivered ``delay`` from now (the
+        failing twin of :meth:`succeed_at`)."""
         if self._state is not EventState.PENDING:
             raise EventStateError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if delay < 0:
+            raise ValueError(f"negative delay: {delay}")
         self._ok = False
         self._value = exception
         self._state = EventState.TRIGGERED
-        self.engine._schedule(self, delay=0.0)
+        self.engine._schedule(self, delay=float(delay))
         return self
 
     # -- engine hooks --------------------------------------------------------

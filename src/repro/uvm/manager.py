@@ -615,7 +615,7 @@ def _device_state(table: DevicePageTable, buffer_id: int,
 
 def _pre_fingerprint(space: UvmSpace, buffer_ids: list[int]) -> dict | None:
     """Count-level snapshot of a memo miss's buffers before live pricing
-    (``None``: not recordable)."""
+    (``None`` when some buffer's state is not representable by counts)."""
     tables = space._tables
     buffers = []
     for bid in buffer_ids:

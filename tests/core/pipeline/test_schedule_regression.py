@@ -21,6 +21,7 @@ from repro.cluster import paper_cluster
 from repro.core import GroutRuntime, MinTransferSizePolicy, RoundRobinPolicy
 from repro.gpu import ArrayAccess, Direction, KernelSpec, TEST_GPU_1GB
 from repro.gpu.specs import MIB
+from repro.sim import FaultPlan
 
 GOLDEN = pathlib.Path(__file__).resolve().parents[2] \
     / "data" / "golden_schedule.json"
@@ -73,11 +74,16 @@ def drive(rt: GroutRuntime) -> None:
     rt.sync()
 
 
-def run_scenario(policy_factory, **runtime_kwargs):
-    """Run the driver program and return its serialized event schedule."""
+def run_scenario(policy_factory, faults=None, **runtime_kwargs):
+    """Run :func:`drive` and return its serialized event schedule.
+
+    ``faults`` is a ``--faults`` spec armed before the first CE.
+    """
     cluster = paper_cluster(3, gpu_spec=TEST_GPU_1GB)
     rt = GroutRuntime(cluster, policy=policy_factory(), **runtime_kwargs)
     try:
+        if faults is not None:
+            rt.install_faults(FaultPlan.parse(faults))
         drive(rt)
         spans = [[s.lane, s.category, s.name, s.start, s.end]
                  for s in rt.tracer.spans]
@@ -86,11 +92,29 @@ def run_scenario(policy_factory, **runtime_kwargs):
         rt.shutdown()
 
 
+#: Flakes, a degraded link and a crash of a source node mid-run: moves
+#: retry, re-source around the dead worker, and moves into it die.
+FAULTS = ("flake@0.028280*2,degrade:worker1-worker2@0.056560x0.5,"
+          "crash:worker0@0.113119")
+#: Three flakes in a row exhaust one transfer's attempts; the move is
+#: rescued from another source.
+RESCUE = "flake@0.282798*3"
+
 SCENARIOS = {
     "round-robin": lambda: run_scenario(RoundRobinPolicy),
     "min-transfer-size": lambda: run_scenario(MinTransferSizePolicy),
     "round-robin+collectives": lambda: run_scenario(
         RoundRobinPolicy, collectives=True, chunk_bytes=8 * MIB),
+    "round-robin+faults": lambda: run_scenario(
+        RoundRobinPolicy, faults=FAULTS),
+    "round-robin+collectives+faults": lambda: run_scenario(
+        RoundRobinPolicy, faults=FAULTS, collectives=True,
+        chunk_bytes=8 * MIB),
+    "round-robin+rescue": lambda: run_scenario(
+        RoundRobinPolicy, faults=RESCUE),
+    "round-robin+collectives+rescue": lambda: run_scenario(
+        RoundRobinPolicy, faults=RESCUE, collectives=True,
+        chunk_bytes=8 * MIB),
 }
 
 

@@ -222,14 +222,24 @@ class TestInvalidation:
         assert len(rt.controller.plan_cache) == 0
         assert _counter(rt, "grout_plancache_invalidations_total",
                         reason="crash") == 1
-        # The crash latched the fabric resilient: later keyed sessions
-        # miss and do not even record (plans could not replay).
+        # A crash only drops plans: the next keyed session records on
+        # the survivors, and a later one replays it with correct values.
         cold = rt.session("cold", plan_key="axpy")
-        assert cold._plan_recorder is None
+        assert cold._plan_recorder is not None
         y2, expected2 = _program(cold)
         cold.close()
         assert np.allclose(y2.data, expected2)
-        assert len(rt.controller.plan_cache) == 0
+        assert len(rt.controller.plan_cache) == 1
+        hot = rt.session("hot", plan_key="axpy")
+        replayer = hot._plan_replayer
+        assert replayer is not None
+        y3, expected3 = _program(hot)
+        # Every CE came from the plan (no fallback detached it).
+        assert hot._plan_replayer is replayer
+        assert replayer.pos == len(replayer.plan.steps)
+        hot.close()
+        assert np.allclose(y3.data, expected3)
+        assert _counter(rt, "grout_plancache_hits_total") == 1
         rt.shutdown()
 
     def test_fault_arming_flips_sessions_back_to_full_pipeline(self):

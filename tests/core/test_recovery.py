@@ -77,6 +77,30 @@ class TestCrashRecovery:
         assert "worker0" not in rt.controller.workers
         assert len(rt.controller.workers) == 2   # replacement arrived
 
+    def test_direct_crash_schedules_like_a_fault_plan_crash(self):
+        """A direct ``handle_worker_crash`` call repairs in-flight moves
+        exactly like the same crash armed from a ``FaultPlan``: same
+        clock, same engine deliveries, same re-sourced moves."""
+        from tests.core.pipeline.test_schedule_regression import drive
+
+        def run(direct):
+            cluster = paper_cluster(3, gpu_spec=TEST_GPU_1GB)
+            rt = GroutRuntime(cluster, policy=RoundRobinPolicy())
+            if direct:
+                def crasher():
+                    yield rt.engine.timeout(0.113119)
+                    rt.controller.handle_worker_crash("worker0")
+                rt.engine.process(crasher())
+            else:
+                rt.install_faults(FaultPlan.parse("crash:worker0@0.113119"))
+            drive(rt)
+            return (rt.engine.now, rt.engine.events_processed,
+                    rt.controller.stats.transfers_rerouted)
+
+        direct = run(direct=True)
+        assert direct[2] > 0              # moves from worker0 re-sourced
+        assert direct == run(direct=False)
+
     def test_crash_of_unknown_worker_raises(self):
         rt = make_runtime()
         with pytest.raises(KeyError):
@@ -126,6 +150,31 @@ class TestOtherFaults:
         rt, _, result = run_bs(FaultPlan.parse(f"flake@{elapsed / 4}*2"))
         assert result.verified
         assert rt.cluster.fabric.retry_count >= 1
+
+    def test_flake_injected_after_launches_is_retried(self):
+        """Regression: a flake armed on the fabric once launches were
+        issued (their moves already queued) is retried like one armed
+        before the first launch — same retry, same finish time."""
+        def run(arm_first):
+            rt = make_runtime()
+            a = rt.device_array(8, np.float32, virtual_nbytes=256 * MIB,
+                                name="a")
+            if arm_first:
+                rt.cluster.fabric.inject_flake()
+            rt.host_write(a, lambda: a.data.fill(1.0))
+            k = simple_kernel()
+            for _ in range(4):
+                rt.launch(k, 8, 128, (a,))
+            if not arm_first:
+                rt.cluster.fabric.inject_flake()
+            rt.host_read(a)
+            assert rt.sync()
+            assert np.all(a.data == 1.0)
+            return rt.engine.now, rt.cluster.fabric.retry_count
+
+        late_elapsed, late_retries = run(arm_first=False)
+        assert late_retries == 1
+        assert (late_elapsed, late_retries) == run(arm_first=True)
 
     def test_injector_stats_surface(self, baseline):
         elapsed, _ = baseline

@@ -36,10 +36,9 @@ class TestTransfers:
         assert done.value == 0.0
 
     def test_negative_bytes_rejected(self, setup):
-        engine, fabric, _ = setup
-        fabric.transfer("a", "b", -1)
+        _, fabric, _ = setup
         with pytest.raises(ValueError):
-            engine.run()
+            fabric.transfer("a", "b", -1)
 
     def test_stats_accumulate(self, setup):
         engine, fabric, _ = setup
@@ -147,6 +146,19 @@ class TestFaults:
         assert fabric.bytes_moved == 10**9
         assert fabric.failure_count == 0
 
+    def test_flake_armed_after_start_retries(self, setup):
+        """A flake armed while a transfer already waits on its NIC
+        grants hits it like one armed before: same 1.55 s retry."""
+        engine, fabric, _ = setup
+        done = fabric.transfer("a", "b", 10**9)
+        engine.step()                 # the transfer holds b's ingress
+        fabric.inject_flake(src="a", dst="b")
+        engine.run()
+        assert done.value == pytest.approx(1.0)
+        assert engine.now == pytest.approx(1.55)
+        assert fabric.retry_count == 1
+        assert fabric.transfer_count == 1
+
     def test_retry_span_recorded(self, setup):
         engine, fabric, tracer = setup
         fabric.inject_flake()
@@ -158,8 +170,8 @@ class TestFaults:
         assert span.meta["backoff"] == pytest.approx(0.05)
 
     def test_exhausted_retries_raise(self, setup):
-        """Three flakes beat max_attempts=3; the failed transfer process
-        aborts the engine run with TransferError."""
+        """Three flakes beat max_attempts=3; the failed transfer event,
+        waited on by nobody, aborts the engine run with TransferError."""
         engine, fabric, _ = setup
         fabric.inject_flake(src="a", dst="b", count=3)
         fabric.transfer("a", "b", 10**9)
@@ -216,6 +228,27 @@ class TestFaults:
         assert fabric.timeout_count >= 1
         assert fabric.retry_count >= 1
         assert fabric.transfer_count == 2
+
+    def test_watchdog_fires_while_queued(self):
+        """An attempt still queued for a NIC grant when its watchdog
+        fires leaves the queue and retries; three such timeouts exhaust
+        the transfer."""
+        engine = Engine()
+        topo = uniform_topology(["a", "b", "c"], 1e9, latency=0.0)
+        fabric = Fabric(engine, topo,
+                        retry=RetryPolicy(attempt_timeout=0.5,
+                                          backoff_base=0.05))
+        busy = fabric._ingress["b"].request()     # b's only ingress slot
+        fabric.transfer("c", "b", 10**9)
+        with pytest.raises(TransferError):
+            engine.run()
+        # 0.5 queued + 0.05 backoff + 0.5 + 0.1 backoff + 0.5.
+        assert engine.now == pytest.approx(1.65)
+        assert (fabric.timeout_count, fabric.retry_count,
+                fabric.failure_count) == (3, 2, 1)
+        assert fabric._ingress["b"].queue_length == 0
+        fabric._ingress["b"].release(busy)
+        assert fabric._ingress["b"].count == 0
 
     def test_completed_transfer_cancels_watchdog(self):
         """Regression: a finished attempt must cancel its watchdog Timeout.

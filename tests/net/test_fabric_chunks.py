@@ -1,4 +1,5 @@
-"""Unit tests of the fabric's chunk_bytes pipelining mode."""
+"""Unit tests of the fabric's chunk pipelining (``chunk_bytes`` and
+relay ``chunk`` transfers)."""
 
 import pytest
 
@@ -56,16 +57,14 @@ class TestChunkedTransfers:
         # Chunks of one flow on one link serialise back to the exact
         # monolithic wire time (no fragmentation overhead is modeled).
         engine, fabric, _ = setup
-        done = fabric.transfer_process("a", "b", GB, chunk_bytes=GB // 4)
-        proc = engine.process(done)
+        done = fabric.transfer("a", "b", GB, chunk_bytes=GB // 4)
         engine.run()
         assert engine.now == pytest.approx(1.0)
-        assert proc.value == pytest.approx(1.0)
+        assert done.value == pytest.approx(1.0)
 
     def test_chunk_and_transfer_counters(self, setup):
         engine, fabric, _ = setup
-        engine.process(fabric.transfer_process(
-            "a", "b", GB, chunk_bytes=GB // 4))
+        fabric.transfer("a", "b", GB, chunk_bytes=GB // 4)
         engine.run()
         assert fabric.chunk_count == 4
         assert fabric.transfer_count == 1     # one *logical* transfer
@@ -73,8 +72,7 @@ class TestChunkedTransfers:
 
     def test_chunk_spans_carry_index(self, setup):
         engine, fabric, tracer = setup
-        engine.process(fabric.transfer_process(
-            "a", "b", 100, label="x", chunk_bytes=40))
+        fabric.transfer("a", "b", 100, label="x", chunk_bytes=40)
         engine.run()
         spans = tracer.by_category("chunk")
         assert [s.meta["chunk"] for s in spans] == [0, 1, 2]
@@ -97,8 +95,7 @@ class TestChunkedTransfers:
                             uniform_topology(["a", "b"], 1e9, latency=0.0),
                             retry=RetryPolicy(backoff_base=0.05))
             fabric.inject_flake(src="a", dst="b")
-            engine.process(fabric.transfer_process(
-                "a", "b", GB, chunk_bytes=chunk_bytes))
+            fabric.transfer("a", "b", GB, chunk_bytes=chunk_bytes)
             engine.run()
             return engine.now, fabric
 
@@ -123,13 +120,12 @@ class TestChunkedTransfers:
                             uniform_topology(["a", "b"], 1e9, latency=0.0),
                             retry=RetryPolicy(max_attempts=2,
                                               attempt_timeout=0.4))
-            proc = engine.process(fabric.transfer_process(
-                "a", "b", GB, chunk_bytes=chunk_bytes))
+            done = fabric.transfer("a", "b", GB, chunk_bytes=chunk_bytes)
             try:
                 engine.run()
             except TransferError:
                 pass        # an unwaited-on failed transfer re-raises
-            return proc, fabric
+            return done, fabric
 
         whole, whole_fabric = run(None)
         assert not whole.ok
@@ -144,8 +140,7 @@ class TestChunkedTransfers:
         fabric = Fabric(engine, fabric.topology,
                         retry=RetryPolicy(max_attempts=1))
         fabric.inject_flake(src="a", dst="b")
-        failed = engine.process(fabric.transfer_process(
-            "a", "b", GB, chunk_bytes=GB // 4))
+        failed = fabric.transfer("a", "b", GB, chunk_bytes=GB // 4)
         with pytest.raises(TransferError):
             engine.run()
         assert not failed.ok
@@ -162,10 +157,8 @@ class TestChunkedTransfers:
         # Two chunked flows out of the same egress NIC re-arbitrate per
         # chunk: both finish together instead of strictly one-then-other.
         engine, fabric, tracer = setup
-        engine.process(fabric.transfer_process(
-            "a", "b", GB, label="f1", chunk_bytes=GB // 4))
-        engine.process(fabric.transfer_process(
-            "a", "c", GB, label="f2", chunk_bytes=GB // 4))
+        fabric.transfer("a", "b", GB, label="f1", chunk_bytes=GB // 4)
+        fabric.transfer("a", "c", GB, label="f2", chunk_bytes=GB // 4)
         engine.run()
         assert engine.now == pytest.approx(2.0)
         by_flow = {}
@@ -177,10 +170,21 @@ class TestChunkedTransfers:
         # both flows' last chunks land in the final arbitration rounds.
         assert min(ends.values()) > 1.0
 
-    def test_chunk_process_zero_or_loopback(self, setup):
+    def test_relay_chunk_zero_or_loopback(self, setup):
+        # Nothing crosses the wire: the event is born processed, so a
+        # process yielding it continues without a delivery.
         engine, fabric, _ = setup
-        p1 = engine.process(fabric.chunk_process("a", "a", GB, "x", 0))
-        p2 = engine.process(fabric.chunk_process("a", "b", 0, "x", 0))
+        loop = fabric.transfer("a", "a", GB, "x", chunk=0)
+        empty = fabric.transfer("a", "b", 0, "x", chunk=0)
+        assert loop.processed and empty.processed
         engine.run()
-        assert p1.value == 0.0 and p2.value == 0.0
-        assert engine.now == 0.0
+        assert loop.value == 0.0 and empty.value == 0.0
+        assert engine.now == 0.0 and engine.events_processed == 0
+
+    def test_relay_chunk_counts_no_transfer(self, setup):
+        engine, fabric, tracer = setup
+        fabric.transfer("a", "b", GB // 4, "x", chunk=2)
+        engine.run()
+        assert fabric.chunk_count == 1 and fabric.transfer_count == 0
+        (span,) = tracer.by_category("chunk")
+        assert span.name == "x#c2" and span.meta["chunk"] == 2

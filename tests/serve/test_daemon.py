@@ -151,6 +151,31 @@ class TestErrorMapping:
         _run(_with_daemon(_daemon(), scenario))
 
 
+class TestPumpFailure:
+    def test_pump_death_is_reported_not_hidden(self):
+        """A raising ``service.pump`` fails its waiters with a 500,
+        turns ``/healthz`` and later runs into 503s naming the error,
+        and ``run()`` still closes the service cleanly."""
+        spec = {"workload": "mv", "footprint_bytes": FOOTPRINT}
+
+        def pump(max_events=1024):
+            raise RuntimeError("engine exploded")
+
+        async def scenario(port):
+            status, body = await _request(port, "POST", "/v1/run", spec)
+            assert status == 500 and "engine exploded" in body["error"]
+            status, body = await _request(port, "GET", "/healthz")
+            assert status == 503 and "engine exploded" in body["error"]
+            status, body = await _request(port, "POST", "/v1/run", spec)
+            assert status == 503 and "engine exploded" in body["error"]
+
+        daemon = _daemon()
+        daemon.service.pump = pump
+        _run(asyncio.wait_for(_with_daemon(daemon, scenario), timeout=30))
+        assert daemon.service.closed
+        assert daemon.service.runtime.closed
+
+
 class TestShutdown:
     def test_shutdown_endpoint_stops_run_and_closes_service(self):
         async def scenario():
