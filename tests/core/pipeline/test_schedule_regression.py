@@ -2,8 +2,9 @@
 
 ``tests/data/golden_schedule.json`` was captured from the pre-pipeline
 monolithic ``Controller.schedule`` (PR 3 build).  The staged pipeline must
-reproduce every recorded span — lane, category, name, start and end — and
-the final simulated clock *exactly*, for every scenario: the refactor is a
+reproduce every recorded span — lane, category, name, start and end — the
+final simulated clock and the engine's delivery count *exactly*, for every
+scenario: the refactor is a
 restructuring, not a behaviour change, and the default single-session path
 carries the same guarantee PR 3 made for its knobs.
 
@@ -77,7 +78,10 @@ def drive(rt: GroutRuntime) -> None:
 def run_scenario(policy_factory, faults=None, **runtime_kwargs):
     """Run :func:`drive` and return its serialized event schedule.
 
-    ``faults`` is a ``--faults`` spec armed before the first CE.
+    ``faults`` is a ``--faults`` spec armed before the first CE.  Besides
+    the spans and the end time the schedule records ``events``, the
+    engine's delivery count, so a change that keeps every span but adds
+    or drops a hop still shows.
     """
     cluster = paper_cluster(3, gpu_spec=TEST_GPU_1GB)
     rt = GroutRuntime(cluster, policy=policy_factory(), **runtime_kwargs)
@@ -87,7 +91,8 @@ def run_scenario(policy_factory, faults=None, **runtime_kwargs):
         drive(rt)
         spans = [[s.lane, s.category, s.name, s.start, s.end]
                  for s in rt.tracer.spans]
-        return {"spans": spans, "elapsed": rt.engine.now}
+        return {"spans": spans, "elapsed": rt.engine.now,
+                "events": rt.engine.events_processed}
     finally:
         rt.shutdown()
 
@@ -99,6 +104,10 @@ FAULTS = ("flake@0.028280*2,degrade:worker1-worker2@0.056560x0.5,"
 #: Three flakes in a row exhaust one transfer's attempts; the move is
 #: rescued from another source.
 RESCUE = "flake@0.282798*3"
+#: Three flakes on the worker1->worker2 edge exhaust one chunk of
+#: ``g.shared``'s relay leg to worker2: the leg is re-sourced once,
+#: around worker1.
+LEG_RESCUE = "flake:worker1-worker2@0.1*3"
 
 SCENARIOS = {
     "round-robin": lambda: run_scenario(RoundRobinPolicy),
@@ -114,6 +123,9 @@ SCENARIOS = {
         RoundRobinPolicy, faults=RESCUE),
     "round-robin+collectives+rescue": lambda: run_scenario(
         RoundRobinPolicy, faults=RESCUE, collectives=True,
+        chunk_bytes=8 * MIB),
+    "round-robin+collectives+leg-rescue": lambda: run_scenario(
+        RoundRobinPolicy, faults=LEG_RESCUE, collectives=True,
         chunk_bytes=8 * MIB),
 }
 
@@ -146,6 +158,9 @@ def _assert_matches(golden: dict, current: dict) -> None:
         assert got["elapsed"] == want["elapsed"], (
             f"{name}: simulated end time drifted "
             f"({got['elapsed']} != {want['elapsed']})")
+        assert got["events"] == want["events"], (
+            f"{name}: engine deliveries changed "
+            f"({got['events']} != {want['events']})")
         assert len(got["spans"]) == len(want["spans"]), (
             f"{name}: span count changed "
             f"({len(got['spans'])} != {len(want['spans'])})")

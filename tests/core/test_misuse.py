@@ -83,6 +83,27 @@ class TestLaunchValidation:
             rt.sync()
 
 
+@pytest.mark.parametrize("make_runtime", [
+    lambda: GroutRuntime(n_workers=2, gpu_spec=TEST_GPU_1GB),
+    lambda: GrCudaRuntime(gpu_spec=TEST_GPU_1GB),
+], ids=["grout", "grcuda"])
+def test_raising_host_body_fails_sync(make_runtime):
+    """A host CE whose body raises fails its done event, undefused, so
+    ``sync()`` raises the body's error: after the start hop, the
+    host-bandwidth sleep over 1 MiB and the failed done event."""
+    rt = make_runtime()
+    a = rt.device_array(4, virtual_nbytes=MIB)
+
+    def boom():
+        raise RuntimeError("host body crashed")
+
+    rt.host_write(a, boom)
+    with pytest.raises(RuntimeError, match="host body crashed"):
+        rt.sync()
+    assert rt.engine.events_processed == 3
+    assert rt.engine.now == 5.24288e-05
+
+
 class TestArrayValidation:
     def test_negative_virtual_rejected(self):
         rt = GrCudaRuntime(gpu_spec=TEST_GPU_1GB)
