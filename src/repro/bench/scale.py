@@ -308,8 +308,8 @@ def run_scale(sizes: tuple[int, ...],
 
 # -- engine microbenchmark -----------------------------------------------------
 
-#: Deliveries churned by :func:`run_engine_microbench` — half through the
-#: generator/Timeout path, half through ``schedule_call`` chains.
+#: Deliveries churned by :func:`run_engine_microbench` — half through
+#: Timeout callbacks, half through ``schedule_call`` chains.
 ENGINE_MICROBENCH_EVENTS = 400_000
 
 
@@ -319,24 +319,24 @@ def run_engine_microbench(events: int = ENGINE_MICROBENCH_EVENTS,
 
     Isolates the engine's own queue machinery so the perf gate can tell
     an engine regression apart from a scheduler one.  ``fanout`` rollers
-    churn timeouts two ways — the classic generator/Timeout path for the
-    first half of the deliveries, ``schedule_call`` chains for the second
-    half — so a slowdown in either lane moves the number.  Reported as a
-    pseudo-workload row (``workload="engine"``, ``ces=events``) so the
-    relative ``check_regression`` gate covers it automatically.
+    churn timeouts two ways — Timeout events with a callback (the Event
+    lane) for the first half of the deliveries, ``schedule_call`` chains
+    for the second half — so a slowdown in either lane moves the number.
+    Reported as a pseudo-workload row (``workload="engine"``,
+    ``ces=events``) so the relative ``check_regression`` gate covers it
+    automatically.
     """
     from repro.sim import Engine
 
     engine = Engine()
     half = events // 2
 
-    def roller(i: int):
-        delay = 0.001 * (1 + i % 7)
-        while engine.events_processed < half:
-            yield engine.timeout(delay)
+    def roll(ev):
+        if engine.events_processed < half:
+            engine.timeout(ev.delay).callbacks.append(roll)
 
     for i in range(fanout):
-        engine.process(roller(i), name=f"roll{i}")
+        engine.timeout(0.001 * (1 + i % 7)).callbacks.append(roll)
 
     def hop(_arg):
         if engine.events_processed < events:

@@ -393,9 +393,10 @@ class Controller:
              and ce.done is not None and not ce.done.triggered),
             key=lambda ce: ce.ce_id)
 
-        # In-flight replications are Moves or relay-leg processes; both
-        # take Process-style interrupts.  A move *into* the dead node
-        # dies outright (not a NODE_CRASH cause, which would re-source).
+        # In-flight replications are Moves (relay legs included): an
+        # interrupt detaches one at once and hands it the cause a hop
+        # later.  A move *into* the dead node is cancelled and fails; a
+        # move *out of* it gets a NODE_CRASH cause and re-sources.
         repair = self.directory.drop_node(name)
         for ev in repair.cancelled:
             ev.cancel(("move-cancelled", name))

@@ -22,7 +22,7 @@ from repro.uvm.calibration import PAPER_CALIBRATION, UvmModelParams
 from repro.uvm.prefetch import PrefetchConfig
 from repro.core.arrays import ManagedArray
 from repro.core.ce import CeKind, ComputationalElement
-from repro.core.controller import HOST_MEM_BANDWIDTH
+from repro.core.pipeline.dispatch import HostCe
 from repro.core.dag import DependencyDag
 from repro.core.intranode import IntraNodeScheduler
 from repro.core.runtime import _as_dims
@@ -211,23 +211,8 @@ class GrCudaRuntime:
     def _run_host_ce(self, ce: ComputationalElement, *, write: bool) -> Event:
         waits = self._global_waits(ce)
         ce.assigned_node = self.node.name
-        engine = self.engine
-        uvm = self.node.uvm
-        assert uvm is not None
-
-        def body():
-            if waits:
-                yield engine.all_of(waits)
-            seconds = ce.param_bytes / HOST_MEM_BANDWIDTH
-            for array in ce.arrays:
-                if uvm.is_registered(array.buffer_id):
-                    seconds += uvm.host_access(
-                        array.buffer_id, write=write).seconds
-            if seconds:
-                yield engine.timeout(seconds)
-            return ce.host_body() if ce.host_body is not None else None
-
-        return engine.process(body(), name=ce.display_name)
+        assert self.node.uvm is not None
+        return HostCe(self.engine, ce, waits, self.node.uvm, write).done
 
     # -- synchronisation ------------------------------------------------------------
 

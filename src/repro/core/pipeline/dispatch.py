@@ -16,15 +16,73 @@ from repro.core.ce import CeKind
 from repro.core.pipeline.base import SchedulingState, Stage
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim import Event
+    from repro.sim import Engine, Event
     from repro.core.ce import ComputationalElement
     from repro.core.controller import Controller
     from repro.core.pipeline.admission import FairShareGate
+    from repro.uvm import UvmSpace
 
-__all__ = ["DispatchStage", "HOST_MEM_BANDWIDTH"]
+__all__ = ["DispatchStage", "HOST_MEM_BANDWIDTH", "HostCe"]
 
 #: Host memory streaming bandwidth charged for host-side CE bodies.
 HOST_MEM_BANDWIDTH = 20e9
+
+
+class HostCe:
+    """A host-side CE as a callback chain; ``done`` is the CE's event.
+
+    A start hop, the join over ``waits``, then the cost: priced after the
+    join (host-memory streaming, plus ``uvm.host_access`` faults when the
+    host shares a UVM space with the GPUs) and slept when non-zero.  Then
+    the body runs and ``done`` fires with its result.  A failed wait, or
+    an exception from the body, fails ``done`` instead.
+    """
+
+    __slots__ = ("ce", "done", "_uvm", "_write")
+
+    def __init__(self, engine: "Engine", ce: "ComputationalElement",
+                 waits: list["Event"], uvm: "UvmSpace | None" = None,
+                 write: bool = False):
+        self.ce = ce
+        self.done = engine.event(name=ce.display_name)
+        self._uvm = uvm
+        self._write = write
+        engine.schedule_call(0.0, self._start, waits)
+
+    def _start(self, waits: list["Event"]) -> None:
+        if not waits:
+            self._joined(None)
+            return
+        join = self.done.engine.all_of(waits)
+        join._defused = True
+        join.callbacks.append(self._joined)
+
+    def _joined(self, join: "Event | None") -> None:
+        if join is not None and not join._ok:
+            self.done.fail(join._value)  # type: ignore[arg-type]
+            return
+        ce = self.ce
+        seconds = ce.param_bytes / HOST_MEM_BANDWIDTH
+        uvm = self._uvm
+        if uvm is not None:
+            for array in ce.arrays:
+                if uvm.is_registered(array.buffer_id):
+                    seconds += uvm.host_access(
+                        array.buffer_id, write=self._write).seconds
+        if seconds:
+            self.done.engine.schedule_call(seconds, self._run)
+        else:
+            self._run(None)
+
+    def _run(self, _arg: object) -> None:
+        body = self.ce.host_body
+        try:
+            result = body() if body is not None else None
+        except Exception as exc:
+            # Trim this frame: it holds ``self``, which reaches ``exc``.
+            self.done.fail(exc.with_traceback(exc.__traceback__.tb_next))
+            return
+        self.done.succeed(result)
 
 
 class DispatchStage(Stage):
@@ -50,7 +108,7 @@ class DispatchStage(Stage):
                     latency, name=f"ctl->{state.node}"))
             done = controller.workers[state.node].submit(ce, state.waits)
         else:
-            done = self.run_host_ce(ce, state.waits)
+            done = HostCe(controller.engine, ce, state.waits).done
         ce.done = done
         state.done = done
         controller.policy.notify_scheduled(ce)
@@ -62,21 +120,3 @@ class DispatchStage(Stage):
             if self.gate is not None:
                 self.gate.note_scheduled(state.session.name, done)
         return state
-
-    # -- host-side CEs ---------------------------------------------------------
-
-    def run_host_ce(self, ce: "ComputationalElement",
-                    waits: list["Event"]) -> "Event":
-        """Run a host-side CE on the controller at host-memory bandwidth."""
-        engine = self.controller.engine
-
-        def body():
-            if waits:
-                yield engine.all_of(waits)
-            nbytes = ce.param_bytes
-            if nbytes:
-                yield engine.timeout(nbytes / HOST_MEM_BANDWIDTH)
-            result = ce.host_body() if ce.host_body is not None else None
-            return result
-
-        return engine.process(body(), name=ce.display_name)

@@ -16,7 +16,7 @@ as first executions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.net.fabric import Transfer, TransferError
 from repro.sim import Event, Interrupt, SimError
@@ -51,20 +51,23 @@ class Move(Event):
     """One replication as a callback chain: wait for the producer, charge
     the source GPUs' writeback, cross the fabric.
 
-    It takes the deliveries a process body would: a zero-delay start
-    call, the producer's delivery, a writeback call, the
+    It takes one delivery per wait: a zero-delay start call, the
+    producer's delivery, a writeback call, the
     :class:`~repro.net.fabric.Transfer`'s own, then the move event.  A
     transfer that exhausted its retries is rescued from another holder
     (at most :data:`MAX_RESCUES` times, the controller last).
-    :meth:`interrupt` and :meth:`cancel` keep :class:`Process` hop
-    semantics: detach at once; one hop later free the NIC ends and
-    re-source (a ``(NODE_CRASH, node)`` cause) or fail with the
-    :class:`~repro.sim.Interrupt` (any other cause), delivered one hop
-    after that.
+
+    :meth:`interrupt` detaches the move at once from whatever it waits
+    on: the event's callback slot is tombstoned and pending calls go
+    stale.  One hop later it frees the NIC ends of a cut transfer; then a
+    ``(NODE_CRASH, node)`` cause re-sources the move, and any other
+    cause fails it with the :class:`~repro.sim.Interrupt`, delivered one
+    hop after that.  :meth:`cancel` is an interrupt whose failure nobody
+    has to wait on.
     """
 
     __slots__ = ("stage", "array", "src", "dst", "producer", "for_ce",
-                 "_gen", "_leg", "_cut", "_producer_index",
+                 "_gen", "_waiting", "_wait_index", "_cut",
                  "_measured_from", "_rescues")
 
     def __init__(self, stage: "DataMovementStage", array: "ManagedArray",
@@ -81,29 +84,36 @@ class Move(Event):
         #: Bumped on every detach; start/writeback calls from an older
         #: generation are stale.
         self._gen = 0
-        self._leg: Transfer | None = None
+        #: The event waited on, and its callback slot.
+        self._waiting: Event | None = None
+        self._wait_index = 0
         self._cut: Transfer | None = None
-        self._producer_index = -1
         self._measured_from: float | None = None
         self._rescues = 0
-        # One hop before anything runs, like a Process's start event.
+        # One start hop before anything runs.
         engine.schedule_call(0.0, self._run, 0)
 
     # -- chain stages --------------------------------------------------------
+
+    def _wait(self, ev: Event, then: Callable[[Event], None]) -> None:
+        """Continue with ``then(ev)`` once ``ev`` is delivered (defused:
+        a failure reaches the move, not the engine)."""
+        ev._defused = True
+        self._waiting = ev
+        self._wait_index = len(ev.callbacks)
+        ev.callbacks.append(then)
 
     def _run(self, gen: int) -> None:
         if gen != self._gen:
             return
         producer = self.producer
         if producer is not None and producer._state is not _PROCESSED:
-            producer._defused = True
-            self._producer_index = len(producer.callbacks)
-            producer.callbacks.append(self._after_producer)
+            self._wait(producer, self._after_producer)
             return
         self._after_producer(None)
 
     def _after_producer(self, ev: Event | None) -> None:
-        self._producer_index = -1
+        self._waiting = None
         if ev is not None and not ev._ok:
             self._failed(ev._value)  # type: ignore[arg-type]
             return
@@ -120,23 +130,24 @@ class Move(Event):
                 return
         self._send(self._gen)
 
+    def _transfer(self) -> Transfer:
+        array = self.array
+        return self.stage.controller.cluster.fabric.transfer(
+            self.src, self.dst, array.nbytes, label=array.name)
+
     def _send(self, gen: int) -> None:
         if gen != self._gen:
             return
-        array = self.array
-        leg = self.stage.controller.cluster.fabric.transfer(
-            self.src, self.dst, array.nbytes, label=array.name)
+        leg = self._transfer()
         if leg._state is _PROCESSED:  # same node or zero bytes
             self._complete()
             return
-        leg._defused = True
-        self._leg = leg
-        leg.callbacks.append(self._sent)
+        self._wait(leg, self._sent)
 
     def _sent(self, ev: Event) -> None:
-        if ev is not self._leg:
+        if ev is not self._waiting:
             return  # detached by an interrupt
-        self._leg = None
+        self._waiting = None
         if ev._ok:
             self._complete()
         else:
@@ -152,37 +163,41 @@ class Move(Event):
 
     def _failed(self, exc: BaseException) -> None:
         """An exception reached the move: re-source on a crash or a
-        rescuable transfer failure and start over, else fail."""
-        stage = self.stage
-        controller = stage.controller
+        rescuable transfer failure, else fail."""
         if is_crash(exc):
-            self.src = stage.surviving_source(self.array, self.dst,
-                                              exclude=exc.cause[1])
+            exclude = exc.cause[1]
         elif (isinstance(exc, TransferError)
                 and self._rescues < MAX_RESCUES
-                and self.src != controller.cluster.controller.name):
+                and self.src != self.stage.controller.cluster.controller.name):
             self._rescues += 1
-            self.src = stage.surviving_source(self.array, self.dst,
-                                              exclude=self.src)
+            exclude = self.src
         else:
             self.fail(exc)
             return
-        controller.stats.count_rerouted()
+        self._resource(exclude)
+
+    def _resource(self, exclude: str) -> None:
+        """Ship from the best live holder other than ``exclude``,
+        starting over from the producer wait."""
+        stage = self.stage
+        self.src = stage.surviving_source(self.array, self.dst,
+                                          exclude=exclude)
+        stage.controller.stats.count_rerouted()
         self._run(self._gen)
 
     # -- crash repair --------------------------------------------------------
 
     def interrupt(self, cause: object = None) -> None:
-        """Throw ``Interrupt(cause)`` at the move, like
-        :meth:`Process.interrupt`: detach now, handle it one hop later."""
+        """Detach now and handle ``Interrupt(cause)`` one hop later (see
+        the class docstring); a finished move cannot be interrupted."""
         if self.triggered:
             raise SimError(f"cannot interrupt finished move {self!r}")
         self._detach()
         self.engine.schedule_call(0.0, self._interrupted, cause)
 
     def cancel(self, cause: object = None) -> bool:
-        """Abandon the move (its destination died), like
-        :meth:`Process.cancel`; returns whether it was still alive."""
+        """Abandon the move (its destination died): an interrupt whose
+        failure is defused.  Returns whether it was still alive."""
         self._defused = True
         if self.triggered:
             return False
@@ -191,13 +206,20 @@ class Move(Event):
 
     def _detach(self) -> None:
         self._gen += 1
-        index, self._producer_index = self._producer_index, -1
-        callbacks = self.producer.callbacks if index >= 0 else ()
-        if (0 <= index < len(callbacks)
+        ev, self._waiting = self._waiting, None
+        if ev is None:
+            return
+        # Tombstone the recorded slot rather than ``list.remove``: O(1) on
+        # a wide fan-in event, and every other waiter's index stays valid
+        # (the engine skips ``None`` callbacks).  A bound method is built
+        # afresh on each access, so identity goes through ``__self__``.
+        callbacks = ev.callbacks
+        index = self._wait_index
+        if (index < len(callbacks)
                 and getattr(callbacks[index], "__self__", None) is self):
             callbacks[index] = None
-        if self._leg is not None:
-            self._cut, self._leg = self._leg, None
+        if isinstance(ev, Transfer):
+            self._cut = ev
 
     def _interrupted(self, cause: object) -> None:
         if self.triggered:

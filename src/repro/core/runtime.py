@@ -348,8 +348,8 @@ class GroutRuntime:
         Finalizes every still-open session (without draining — the
         simulation is over), shuts the controller down (shard worker
         processes included) and cuts its parts' back-references to it,
-        discards the engine's queued deliveries (their generator frames
-        close over the whole cluster graph), and seals the metrics
+        discards the engine's queued deliveries (their callback chains
+        reach the whole cluster graph), and seals the metrics
         registry so late scrapes see a frozen timestamp.  Afterwards the
         runtime holds no reference cycle: dropping its last reference
         frees it by reference counting, so nothing of it is left for a

@@ -28,12 +28,11 @@ class StreamOp:
     An op is straight-line — wait for prereqs, price, maybe hold the host
     link, sleep the kernel duration, complete — so it runs as engine
     ``schedule_call`` hops: one delivery per logical wait (a start hop,
-    the prereq join, the link grant, each sleep), with no generator or
-    :class:`~repro.sim.Process` underneath.
+    the prereq join, the link grant, each sleep).
 
     Cancellation (node crash) marks the op dead: pending scheduled calls
-    deliver as no-ops — exactly like a detached process's stale timeout —
-    and a held or queued resource request is released.  The completion
+    and prereq callbacks still deliver, but as no-ops, and a held or
+    queued resource request is released.  The completion
     event then never fires, which is what crash re-execution relies on.
     """
 
@@ -168,8 +167,8 @@ class StreamOp:
     # -- crash recovery ------------------------------------------------------
 
     def cancel(self, cause: object = None) -> bool:
-        """Kill the op; its completion event never fires.  Returns whether
-        it was still alive (mirrors :meth:`Process.cancel`)."""
+        """Kill the op at once; its completion event never fires.
+        Returns whether it was still alive."""
         if self._dead or self.done.triggered:
             return False
         self._dead = True
@@ -247,7 +246,7 @@ class Stream:
             prereqs = list(dict.fromkeys(prereqs))
         self._runners[key] = op
         self._tail = op.done
-        # One hop before the join is built, like a Process's start event.
+        # One start hop before the join is built.
         self.engine.schedule_call(0.0, op._start, prereqs)
         return op.done
 

@@ -1,22 +1,21 @@
 """Deterministic discrete-event simulation engine.
 
 This package is the execution substrate for the whole reproduction: GPU
-streams, UVM page migrations and network transfers are all simulated
-processes scheduled on one :class:`Engine` clock.
+streams, UVM page migrations and network transfers are all callback
+chains on events and ``schedule_call`` deliveries of one :class:`Engine`
+clock.
 """
 
-from repro.sim.engine import Engine, run_process
-from repro.sim.errors import EventStateError, Interrupt, SimError, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Condition, Event, EventState, Timeout
+from repro.sim.engine import Engine
+from repro.sim.errors import EventStateError, Interrupt, SimError
+from repro.sim.events import AllOf, Condition, Event, EventState, Timeout
 from repro.sim.faults import Fault, FaultInjector, FaultPlan, InjectorStats
-from repro.sim.process import Process
-from repro.sim.resources import Request, Resource, Store
+from repro.sim.resources import Request, Resource
 from repro.sim.trace import CATEGORIES, Span, Tracer
 
 __all__ = [
     "AllOf",
     "CATEGORIES",
-    "AnyOf",
     "Condition",
     "Engine",
     "Event",
@@ -27,14 +26,10 @@ __all__ = [
     "FaultPlan",
     "InjectorStats",
     "Interrupt",
-    "Process",
     "Request",
     "Resource",
     "SimError",
     "Span",
-    "StopSimulation",
-    "Store",
     "Timeout",
     "Tracer",
-    "run_process",
 ]

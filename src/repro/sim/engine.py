@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Generator, Iterable
+from typing import Callable, Iterable
 
 from repro.sim.errors import SimError
-from repro.sim.events import AllOf, AnyOf, Event, EventState, Timeout
-from repro.sim.process import Process
+from repro.sim.events import AllOf, Event, EventState, Timeout
 
 _PROCESSED = EventState.PROCESSED
 
@@ -65,19 +64,18 @@ class Engine:
     """Deterministic discrete-event simulation engine.
 
     Time is a float in *seconds* by convention throughout the repository.
+    Waiting means appending a callback to an event, or scheduling one
+    with :meth:`schedule_call`; a multi-step activity is a chain of them.
 
     Examples
     --------
     >>> eng = Engine()
-    >>> def proc(eng):
-    ...     yield eng.timeout(2.5)
-    ...     return "done"
-    >>> p = eng.process(proc(eng))
+    >>> log = []
+    >>> eng.timeout(2.5).callbacks.append(
+    ...     lambda ev: eng.schedule_call(1.0, log.append, eng.now))
     >>> eng.run()
-    >>> eng.now
-    2.5
-    >>> p.value
-    'done'
+    >>> eng.now, log
+    (3.5, [2.5])
     """
 
     def __init__(self, start_time: float = 0.0):
@@ -86,7 +84,6 @@ class Engine:
         self._ready: deque[tuple[int, object]] = deque()
         self._seq = 0
         self._processed = 0
-        self._active: Process | None = None
         self._free: list[_Call] = []
 
     # -- time --------------------------------------------------------------
@@ -101,15 +98,10 @@ class Engine:
         """Deliveries since the engine started (throughput metric).
 
         Counts both Event deliveries and ``schedule_call`` deliveries —
-        one per logical wait either way, so the number is comparable
-        between a process body and a callback chain with the same waits.
+        one per logical wait either way, so two formulations of a chain
+        that wait the same way deliver the same count.
         """
         return self._processed
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._active
 
     # -- event factories -----------------------------------------------------
 
@@ -122,17 +114,9 @@ class Engine:
         """Create an event firing ``delay`` time units from now."""
         return Timeout(self, delay, value=value, name=name)
 
-    def process(self, generator: Generator, name: str | None = None) -> Process:
-        """Spawn a new process driving ``generator``."""
-        return Process(self, generator, name=name)
-
     def all_of(self, events: Iterable[Event], name: str | None = None) -> AllOf:
         """Condition firing when all ``events`` succeeded."""
         return AllOf(self, events, name=name)
-
-    def any_of(self, events: Iterable[Event], name: str | None = None) -> AnyOf:
-        """Condition firing when any one of ``events`` succeeded."""
-        return AnyOf(self, events, name=name)
 
     # -- scheduling ----------------------------------------------------------
 
@@ -150,13 +134,14 @@ class Engine:
         """Deliver ``fn(arg)`` after ``delay`` — the fast-path primitive.
 
         A straight-line "wait t, then continue" step costs one recycled
-        ``_Call`` and one queue slot: no Process, no generator resume, no
+        ``_Call`` and one queue slot: no Event, no callback list, no
         Timeout object.  The delivery counts toward
-        :attr:`events_processed` exactly like an event would, so a chain
-        takes the same hops as the process body it stands for.  Returns
-        ``None`` — the call cannot be cancelled; guard staleness inside
-        ``fn`` instead (the same discipline a detached process callback
-        needs).
+        :attr:`events_processed` exactly like an event would, so a
+        ``schedule_call`` hop and a Timeout hop are one delivery each.
+        Returns ``None`` — the call cannot be cancelled; guard staleness
+        inside ``fn`` instead (a chain that was interrupted meanwhile
+        bumps a generation or marks itself dead, and the stale call
+        returns without acting).
         """
         if delay < 0:
             raise ValueError(f"negative call delay: {delay}")
@@ -203,8 +188,8 @@ class Engine:
         Pending events, timeouts and fast-path calls are dropped on the
         floor — their callbacks never fire — and the recycled-call free
         list is released.  This breaks the reference cycles a mid-flight
-        simulation keeps alive (queued processes hold generator frames
-        that close over the whole cluster graph), so back-to-back
+        simulation keeps alive (queued callbacks are bound methods of
+        chains that reach the whole cluster graph), so back-to-back
         runtimes in one process stop accreting memory.  The clock and
         ``events_processed`` are left untouched; returns the number of
         deliveries dropped.
@@ -440,11 +425,3 @@ class Engine:
     def __repr__(self) -> str:
         queued = len(self._queue) + len(self._ready)
         return f"<Engine t={self._now:.6g} queued={queued}>"
-
-
-def run_process(generator_factory: Callable[[Engine], Generator]) -> object:
-    """Convenience: run one process on a fresh engine, return its value."""
-    engine = Engine()
-    proc = engine.process(generator_factory(engine))
-    engine.run(until=proc)
-    return proc.value

@@ -7,20 +7,14 @@ class SimError(Exception):
     """Base class for all simulation-engine errors."""
 
 
-class StopSimulation(SimError):
-    """Raised internally to stop :meth:`repro.sim.Engine.run` early."""
-
-
 class EventStateError(SimError):
     """An event was triggered or awaited in an illegal state."""
 
 
 class Interrupt(SimError):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.sim.Process.interrupt`.
-    """
+    """Hands an interrupted chain (a replication move or relay leg) the
+    ``cause`` passed to its ``interrupt``, one hop after the chain was
+    detached from the event it waited on."""
 
     def __init__(self, cause: object = None):
         super().__init__(cause)

@@ -1,15 +1,15 @@
 """Event primitives for the discrete-event engine.
 
-The design follows the classic generator-based simulation style (SimPy
-lineage): an :class:`Event` is a one-shot occurrence that processes can wait
-on by ``yield``-ing it.  Events move through three states:
+An :class:`Event` is a one-shot occurrence (SimPy lineage) that callback
+chains wait on by appending a callback; the engine calls each callback
+with the event when it delivers it.  Events move through three states:
 
 ``PENDING``
-    Created, not yet triggered.  Waiting processes stay suspended.
+    Created, not yet triggered.  Waiters stay attached.
 ``TRIGGERED``
     ``succeed``/``fail`` was called; the event sits in the engine queue.
 ``PROCESSED``
-    The engine popped the event and resumed all waiters.
+    The engine popped the event and ran all its callbacks.
 """
 
 from __future__ import annotations
@@ -184,37 +184,29 @@ class Timeout(Event):
 
 
 class Condition(Event):
-    """Composite event that triggers when ``evaluate`` says enough children fired.
+    """Composite event that triggers once ``need`` children succeeded.
 
-    The payload is a dict mapping each fired child event to its value, in
+    ``need=1`` is an any-of; :class:`AllOf` needs every child.  The
+    payload is a dict mapping each fired child event to its value, in
     trigger order.  If any child fails before the condition is met, the
     condition fails with that exception.
 
     Children are deduplicated at construction (first occurrence wins, order
     preserved): an event listed twice still fires only once, so counting it
-    twice would both deadlock ``need``-counting conditions past the unique
-    child count and lie to ``evaluate`` about how many *distinct* children
-    fired — while the dict payload collapses the duplicate key anyway.  A
-    ``need`` larger than the deduplicated child count is clamped to it.
+    twice would deadlock the count past the unique child count — while the
+    dict payload collapses the duplicate key anyway.  A ``need`` larger
+    than the deduplicated child count is clamped to it.
     """
 
-    __slots__ = ("events", "_evaluate", "_fired", "_need")
+    __slots__ = ("events", "_fired", "_need")
 
     def __init__(self, engine: "Engine", events: Iterable[Event],
-                 evaluate: Callable[[list[Event], int], bool] | None = None,
-                 name: str | None = None, *, need: int | None = None):
-        """``need`` is the fast path: trigger once that many children fired
-        (what :class:`AllOf`/:class:`AnyOf` use — a counter comparison on
-        the hottest callback in the engine).  ``evaluate`` is the general
-        predicate ``(events, n_fired) -> bool`` for custom conditions."""
+                 name: str | None = None, *, need: int):
         super().__init__(engine, name=name)
         # Events hash by identity, so dict.fromkeys is an order-preserving
         # dedup of the exact objects.
         self.events: list[Event] = list(dict.fromkeys(events))
-        if need is None and evaluate is None:
-            raise TypeError("Condition requires `evaluate` or `need`")
-        self._evaluate = evaluate
-        self._need = need if need is None else min(need, len(self.events))
+        self._need = min(need, len(self.events))
         self._fired: list[Event] = []
         for ev in self.events:
             if ev.engine is not engine:
@@ -238,9 +230,7 @@ class Condition(Event):
             return
         fired = self._fired
         fired.append(child)
-        need = self._need
-        if (len(fired) >= need if need is not None
-                else self._evaluate(self.events, len(fired))):
+        if len(fired) >= self._need:
             self.succeed(self._payload(fired))
 
     def _payload(self, fired: list[Event]) -> dict:
@@ -293,13 +283,3 @@ class AllOf(Condition):
         for group in fired:
             out.update(group._value)  # each group's payload is a dict
         return out
-
-
-class AnyOf(Condition):
-    """Condition met when *any one* child event has succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, engine: "Engine", events: Iterable[Event],
-                 name: str | None = None):
-        super().__init__(engine, events, name=name, need=1)

@@ -242,20 +242,33 @@ class FaultInjector:
             return self
         self._armed = True
         for fault in self.plan:
-            self.engine.process(self._strike(fault),
-                                name=f"fault:{fault.describe()}")
+            self.engine.schedule_call(0.0, self._sleep, fault)
         return self
 
-    def _strike(self, fault: Fault):
+    def _sleep(self, fault: Fault) -> None:
+        """A fault's start hop: sleep until ``fault.at``, then strike."""
         delay = fault.at - self.engine.now
         if delay > 0:
-            yield self.engine.timeout(delay)
+            self.engine.schedule_call(delay, self._strike, fault)
+        else:
+            self._strike(fault)
+
+    def _strike(self, fault: Fault) -> None:
+        """Run the fault's handler, record its span, then one terminal
+        zero-delay delivery.  It fails, undefused, with anything the
+        handler raised, so ``engine.run()`` raises that one hop later."""
+        done = self.engine.event(name=f"fault:{fault.describe()}")
         handler = self._handlers.get(fault.kind)
         start = self.engine.now
         if handler is None:
             self.stats.unhandled += 1
         else:
-            handler(fault)
+            try:
+                handler(fault)
+            except Exception as exc:
+                # Trim this frame: it holds ``done``, which holds ``exc``.
+                done.fail(exc.with_traceback(exc.__traceback__.tb_next))
+                return
             self.stats.injected += 1
             self.stats.by_kind[fault.kind] = \
                 self.stats.by_kind.get(fault.kind, 0) + 1
@@ -267,7 +280,7 @@ class FaultInjector:
             self.tracer.record(lane, "fault", fault.describe(),
                                start, self.engine.now,
                                handled=handler is not None)
-        return fault
+        done.succeed(fault)
 
 
 def plan_from(faults: Iterable[Fault]) -> FaultPlan:

@@ -1,6 +1,6 @@
-"""Shared-resource primitives: counted resources and FIFO stores.
+"""Shared-resource primitive: a counted resource with a FIFO wait queue.
 
-These model contention points in the simulated system — PCIe lanes, NIC
+It models contention points in the simulated system — PCIe lanes, NIC
 links, GPU copy engines — where at most ``capacity`` users may hold the
 resource simultaneously and the rest queue in FIFO order (deterministic by
 construction, matching the engine's tie-breaking).
@@ -9,7 +9,7 @@ construction, matching the engine's tie-breaking).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Generator
+from typing import TYPE_CHECKING
 
 from repro.sim.errors import SimError
 from repro.sim.events import Event
@@ -27,26 +27,24 @@ class Request(Event):
         super().__init__(resource.engine, name=f"req:{resource.name}")
         self.resource = resource
 
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.resource.release(self)
-
 
 class Resource:
     """A counted resource with a FIFO wait queue.
 
     Examples
     --------
+    Two users of one link, each holding it for 1 s once granted:
+
     >>> from repro.sim import Engine
     >>> eng = Engine()
     >>> link = Resource(eng, capacity=1, name="nic")
-    >>> def user(eng, link):
-    ...     req = link.request()
-    ...     yield req
-    ...     yield eng.timeout(1.0)
-    ...     link.release(req)
+    >>> def hold(req):
+    ...     eng.schedule_call(1.0, link.release, req)
+    >>> for _ in range(2):
+    ...     link.request().callbacks.append(hold)
+    >>> eng.run()
+    >>> eng.now
+    2.0
     """
 
     def __init__(self, engine: "Engine", capacity: int = 1,
@@ -95,53 +93,7 @@ class Resource:
             self._holders.add(nxt)
             nxt.succeed(self)
 
-    def acquire(self, duration: float) -> Generator:
-        """Process helper: hold the resource for ``duration`` time units."""
-        req = self.request()
-        yield req
-        try:
-            yield self.engine.timeout(duration)
-        finally:
-            self.release(req)
-
     def __repr__(self) -> str:
         return (f"<Resource {self.name!r} {self.count}/{self.capacity} "
                 f"queued={self.queue_length}>")
 
-
-class Store:
-    """An unbounded FIFO queue of items with blocking ``get``.
-
-    Used as a mailbox between simulated components (e.g. the Controller
-    posting CEs to a Worker's inbox).
-    """
-
-    def __init__(self, engine: "Engine", name: str = "store"):
-        self.engine = engine
-        self.name = name
-        self._items: deque[object] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: object) -> None:
-        """Deposit an item; wakes the oldest blocked getter, if any."""
-        if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that fires with the next item."""
-        ev = Event(self.engine, name=f"get:{self.name}")
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def __repr__(self) -> str:
-        return (f"<Store {self.name!r} items={len(self._items)} "
-                f"waiting={len(self._getters)}>")

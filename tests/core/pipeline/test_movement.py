@@ -94,3 +94,63 @@ def test_process_appends_one_wait_per_cold_array(rt, make_array, kernel):
         rt.engine.run(until=ev)
     assert rt.controller.directory.up_to_date_on(a, "worker0")
     assert rt.controller.directory.up_to_date_on(b, "worker0")
+
+
+# -- interrupts (the one interruptible chain) --------------------------------
+
+def _moves_on(rt, array, producer, n):
+    """``n`` moves of ``array`` to worker0 waiting on ``producer``."""
+    from repro.core.pipeline.movement import Move
+    moves = [Move(_mover(rt), array, rt.cluster.controller.name, "worker0",
+                  producer, None) for _ in range(n)]
+    rt.engine.run()          # deliver the start hops: all now wait
+    return moves
+
+
+def test_interrupt_detaches_by_tombstone_on_wide_event(rt, make_array):
+    """Interrupting a move waiting on a wide fan-in event is O(1): its
+    callback slot is tombstoned to ``None`` instead of a linear
+    ``list.remove``.  Half of many waiters are interrupted; the list
+    keeps its length, so every other recorded slot index stays valid,
+    and the survivors still complete."""
+    from repro.sim import Interrupt
+    a = make_array("mv.wide", mib=1)
+    producer = rt.engine.event(name="wide")
+    n = 1000
+    moves = _moves_on(rt, a, producer, n)
+    assert len(producer.callbacks) == n
+
+    for move in moves[::2]:
+        move.cancel("reaped")       # an interrupt whose failure is defused
+    assert len(producer.callbacks) == n
+    assert producer.callbacks.count(None) == n // 2
+
+    producer.succeed("go")
+    rt.engine.run()
+    for move in moves[::2]:
+        assert not move.ok and isinstance(move.value, Interrupt)
+        assert move.value.cause == "reaped"
+    assert all(move.ok and move.value == a.nbytes for move in moves[1::2])
+
+
+def test_interrupted_waiter_rewaits_on_wide_event(rt, make_array):
+    """A crash-interrupted move re-sources and re-waits on the same wide
+    event in a fresh slot; its stale tombstone does not shadow it."""
+    from repro.core.pipeline.movement import NODE_CRASH
+    a = make_array("mv.rewait", mib=1)
+    producer = rt.engine.event(name="wide")
+    *bystanders, victim = _moves_on(rt, a, producer, 11)
+    old_slot = victim._wait_index
+
+    victim.interrupt((NODE_CRASH, "worker2"))
+    assert producer.callbacks[old_slot] is None
+    rerouted = rt.controller.stats.transfers_rerouted
+    rt.engine.run()                  # the interrupt's hop: re-source
+    assert rt.controller.stats.transfers_rerouted == rerouted + 1
+    assert victim._wait_index == len(producer.callbacks) - 1 == 11
+    assert producer.callbacks[old_slot] is None
+
+    producer.succeed("done")
+    rt.engine.run()
+    assert victim.ok and victim.value == a.nbytes
+    assert all(move.ok for move in bystanders)

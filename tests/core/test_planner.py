@@ -117,6 +117,26 @@ class TestCoalescing:
         assert rt.sync()
 
 
+class TestRelayLegInterrupts:
+    def test_interrupt_before_launch_fails_the_leg(self):
+        """Before the window closes a leg has no chain position to
+        re-source from: even a crash cause fails it."""
+        from repro.core.pipeline.movement import NODE_CRASH
+        from repro.sim import Interrupt
+        rt = make_runtime()
+        shared = rt.device_array(4, virtual_nbytes=64 * MIB)
+        leg = rt.controller.planner.request(shared, "worker0", None)
+        other = rt.controller.planner.request(shared, "worker1", None)
+        leg.interrupt((NODE_CRASH, "worker1"))
+        leg._defused = True
+        rt.engine.run()
+        assert not leg.ok and isinstance(leg.value, Interrupt)
+        # The dead leg left the chain; its sibling shipped from home.
+        assert other.ok and other.value == shared.nbytes
+        relays = [s.name for s in rt.tracer.spans if s.category == "relay"]
+        assert relays == ["controller->worker1"]
+
+
 class TestChainOrdering:
     def test_greedy_chain_follows_topology(self):
         rt = make_runtime()

@@ -87,10 +87,16 @@ class TestCrashRecovery:
             cluster = paper_cluster(3, gpu_spec=TEST_GPU_1GB)
             rt = GroutRuntime(cluster, policy=RoundRobinPolicy())
             if direct:
-                def crasher():
-                    yield rt.engine.timeout(0.113119)
+                # The strike's hops: a start hop, the sleep, the crash,
+                # then one terminal zero-delay delivery.
+                engine = rt.engine
+
+                def crash(_arg):
                     rt.controller.handle_worker_crash("worker0")
-                rt.engine.process(crasher())
+                    engine.schedule_call(0.0, lambda _a: None)
+
+                engine.schedule_call(0.0, lambda _a: engine.schedule_call(
+                    0.113119, crash))
             else:
                 rt.install_faults(FaultPlan.parse("crash:worker0@0.113119"))
             drive(rt)

@@ -49,11 +49,16 @@ class TestContention:
         log = []
 
         def user(tag):
-            yield from gpu.host_link.acquire(2.0)
-            log.append((tag, engine.now))
+            # Once granted, hold the link for 2 s, then release it.
+            def release(req):
+                gpu.host_link.release(req)
+                log.append((tag, engine.now))
 
-        engine.process(user("a"))
-        engine.process(user("b"))
+            gpu.host_link.request().callbacks.append(
+                lambda req: engine.schedule_call(2.0, release, req))
+
+        user("a")
+        user("b")
         engine.run()
         assert log == [("a", 2.0), ("b", 4.0)]
 

@@ -292,11 +292,7 @@ class TestFaults:
         victim = fabric.transfer("a", "b", 10**9)
         follower = fabric.transfer("c", "b", 10**9)   # queued on b ingress
 
-        def canceller():
-            yield engine.timeout(0.25)
-            victim.cancel("test cancel")
-
-        engine.process(canceller())
+        engine.schedule_call(0.25, victim.cancel, "test cancel")
         engine.run(until=follower)
         # Victim dies at 0.25; follower then runs 0.25..1.25.  A leaked
         # ingress slot would block the follower forever.

@@ -41,15 +41,13 @@ def test_resource_never_exceeds_capacity(holds, capacity):
     resource = Resource(engine, capacity=capacity)
     high_water = [0]
 
-    def user(hold):
-        req = resource.request()
-        yield req
+    def granted(req, hold):
         high_water[0] = max(high_water[0], resource.count)
-        yield engine.timeout(hold)
-        resource.release(req)
+        engine.schedule_call(hold, resource.release, req)
 
     for hold in holds:
-        engine.process(user(hold))
+        resource.request().callbacks.append(
+            lambda req, hold=hold: granted(req, hold))
     engine.run()
     assert high_water[0] <= capacity
     assert resource.count == 0
@@ -64,11 +62,10 @@ def test_unit_resource_serialises_total_time(holds):
     engine = Engine()
     resource = Resource(engine, capacity=1)
 
-    def user(hold):
-        yield from resource.acquire(hold)
-
     for hold in holds:
-        engine.process(user(hold))
+        resource.request().callbacks.append(
+            lambda req, hold=hold: engine.schedule_call(
+                hold, resource.release, req))
     engine.run()
     assert abs(engine.now - sum(holds)) < 1e-6 * len(holds)
 
@@ -85,19 +82,31 @@ def test_all_of_fires_at_max_child_time(n):
 
 @given(st.data())
 def test_process_chain_returns_in_topological_order(data):
+    """A chain of links, each waiting on its upstream's event, then 1 s,
+    then firing its own: they finish in chain order."""
     depth = data.draw(st.integers(min_value=1, max_value=15))
     engine = Engine()
     finished = []
 
     def link(i, upstream):
-        if upstream is not None:
-            yield upstream
-        yield engine.timeout(1.0)
-        finished.append(i)
+        done = engine.event()
+
+        def finish(_arg):
+            finished.append(i)
+            done.succeed()
+
+        def start(_ev=None):
+            engine.schedule_call(1.0, finish)
+
+        if upstream is None:
+            start()
+        else:
+            upstream.callbacks.append(start)
+        return done
 
     prev = None
     for i in range(depth):
-        prev = engine.process(link(i, prev))
+        prev = link(i, prev)
     engine.run()
     assert finished == list(range(depth))
     assert engine.now == float(depth)

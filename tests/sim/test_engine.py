@@ -153,13 +153,3 @@ def test_repr_mentions_time_and_queue(engine):
     engine.timeout(1.0)
     text = repr(engine)
     assert "t=" in text and "queued=1" in text
-
-
-def test_run_process_helper():
-    from repro.sim import run_process
-
-    def proc(engine):
-        yield engine.timeout(3.0)
-        return engine.now
-
-    assert run_process(proc) == 3.0

@@ -8,6 +8,9 @@ workloads through both entry points and asserts the observable outcome is
 bit-for-bit the same: the sequence of (time, label, ok) deliveries, the
 final clock, and ``events_processed``.  Failure and defuse handling are
 exercised explicitly, including the unhandled-failure abort.
+
+Workloads are written as generators, driven by the small reference
+driver in :mod:`tests.sim.genproc`.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ import random
 
 import pytest
 
-from repro.sim import Engine, Interrupt, SimError
+from repro.sim import Condition, Engine, Interrupt, SimError
 from repro.sim.engine import _FREE_LIST_CAP
+
+from tests.sim.genproc import spawn
 
 
 def _build_workload(engine: Engine, seed: int, trace: list) -> None:
@@ -85,8 +90,8 @@ def _build_workload(engine: Engine, seed: int, trace: list) -> None:
                 kids = [pool[rng.randrange(len(pool))],
                         tap(engine.timeout(rng.uniform(0.0, 2.0)),
                             f"w{wid}.k{step}")]
-                combo = (engine.any_of(kids) if rng.random() < 0.5
-                         else engine.all_of(kids))
+                combo = (Condition(engine, kids, need=1)
+                         if rng.random() < 0.5 else engine.all_of(kids))
                 try:
                     yield tap(combo, f"w{wid}.c{step}")
                 except RuntimeError:
@@ -100,7 +105,7 @@ def _build_workload(engine: Engine, seed: int, trace: list) -> None:
                     trace.append((engine.now, f"w{wid}.caught{step}",
                                   False, "RuntimeError"))
 
-    procs = [tap(engine.process(worker(i), name=f"w{i}"), f"proc{i}")
+    procs = [tap(spawn(engine, worker(i), name=f"w{i}"), f"proc{i}")
              for i in range(5)]
 
     def reaper():
@@ -110,14 +115,14 @@ def _build_workload(engine: Engine, seed: int, trace: list) -> None:
         if victim.is_alive:
             victim.cancel("reaped")
         other = procs[rng.randrange(len(procs))]
-        if other.is_alive and other is not engine.active_process:
+        if other.is_alive:
             try:
                 other.interrupt("poked")
             except SimError:
                 pass
         return "reaper-done"
 
-    tap(engine.process(reaper(), name="reaper"), "reaper")
+    tap(spawn(engine, reaper(), name="reaper"), "reaper")
 
     def interrupt_handler():
         try:
@@ -127,7 +132,7 @@ def _build_workload(engine: Engine, seed: int, trace: list) -> None:
                           str(intr.cause)))
         return "handler-done"
 
-    handler = tap(engine.process(interrupt_handler(), name="handler"),
+    handler = tap(spawn(engine, interrupt_handler(), name="handler"),
                   "handler")
 
     def late_poker():
@@ -135,7 +140,7 @@ def _build_workload(engine: Engine, seed: int, trace: list) -> None:
         if handler.is_alive:
             handler.interrupt("late-poke")
 
-    engine.process(late_poker(), name="poker")
+    spawn(engine, late_poker(), name="poker")
 
     # Pool events that never fire must not deadlock the drain: defuse and
     # succeed the stragglers at a late time so both engines drain fully.
@@ -146,7 +151,7 @@ def _build_workload(engine: Engine, seed: int, trace: list) -> None:
                 fired.add(i)
                 ev.succeed("swept")
 
-    engine.process(sweeper(), name="sweeper")
+    spawn(engine, sweeper(), name="sweeper")
 
 
 def _drive_with_run(seed: int):
@@ -194,7 +199,7 @@ class TestRunStepDifferential:
             def boomer():
                 yield engine.timeout(1.0)
                 raise ValueError("boom")
-            engine.process(boomer(), name="boomer")
+            spawn(engine, boomer(), name="boomer")
             for i, delay in enumerate((0.25, 0.5, 2.0)):
                 t = engine.timeout(delay)
                 t.callbacks.append(
@@ -256,7 +261,7 @@ def _drive_chains_generator(seed: int):
             trace.append((engine.now, f"c{cid}.h{i}"))
 
     for cid, delays in enumerate(plan):
-        engine.process(runner(cid, delays), name=f"c{cid}")
+        spawn(engine, runner(cid, delays), name=f"c{cid}")
     engine.run()
     return engine, trace
 
@@ -273,16 +278,16 @@ def _drive_chains_succeed_at(seed: int):
             trace.append((engine.now, f"c{cid}.h{i}"))
 
     for cid, delays in enumerate(plan):
-        engine.process(runner(cid, delays), name=f"c{cid}")
+        spawn(engine, runner(cid, delays), name=f"c{cid}")
     engine.run()
     return engine, trace
 
 
 def _drive_chains_calls(seed: int):
-    """Same chains as direct ``schedule_call`` chains: no Process, no
-    generator, no Timeout.  Hop parity is kept explicitly — one zero-delay
-    start call mirroring the Process start event, and one zero-delay
-    terminal call mirroring the Process completion delivery — so even
+    """Same chains as direct ``schedule_call`` chains: no generator, no
+    Timeout.  Hop parity is kept explicitly — one zero-delay start call
+    mirroring the generator's start delivery, and one zero-delay terminal
+    call mirroring its completion delivery — so even
     ``events_processed`` must match the generator formulation exactly."""
     engine, trace = Engine(), []
     plan = _chain_plan(seed)
@@ -294,7 +299,7 @@ def _drive_chains_calls(seed: int):
                 engine.schedule_call(delays[i + 1],
                                      make_hop(cid, delays, i + 1))
             else:
-                engine.schedule_call(0.0, lambda _a: None)  # ~Process done
+                engine.schedule_call(0.0, lambda _a: None)  # ~completion
         return fire
 
     def make_start(cid: int, delays: list[float]):
@@ -382,7 +387,7 @@ class TestFastVsGeneratorDifferential:
             trace.append((engine.now, f"w{wid}.late", v))
 
         for wid in range(6):
-            engine.process(waiter(wid), name=f"w{wid}")
+            spawn(engine, waiter(wid), name=f"w{wid}")
 
     def test_mixed_fastpath_workload_run_vs_step(self):
         for seed in range(10):

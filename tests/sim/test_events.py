@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AnyOf, Event, EventState, EventStateError, Timeout
+from repro.sim import Condition, Event, EventState, EventStateError, Timeout
 
 
 class TestEventLifecycle:
@@ -157,20 +157,16 @@ class TestDuplicateChildren:
         engine.run()
         assert combo.processed and combo.value == {a: "a"}
 
-    def test_evaluate_sees_distinct_fired_count(self, engine):
-        from repro.sim import Condition
+    def test_need_counts_distinct_firings(self, engine):
         a = engine.timeout(1.0)
         b = engine.timeout(2.0)
-        seen = []
-        combo = Condition(engine, [a, a, b],
-                          evaluate=lambda evs, n: seen.append(n) or n >= 2)
+        combo = Condition(engine, [a, a, b], need=2)
         engine.run(until=combo)
-        # One callback per distinct firing: a then b, never a twice.
-        assert seen == [1, 2]
+        # One count per distinct firing: a then b, never a twice.
+        assert combo._fired == [a, b]
         assert engine.now == 2.0
 
     def test_explicit_need_clamped_to_unique_children(self, engine):
-        from repro.sim import Condition
         a = engine.timeout(1.0)
         combo = Condition(engine, [a, a], need=2)
         engine.run()
@@ -178,7 +174,7 @@ class TestDuplicateChildren:
 
     def test_anyof_duplicates(self, engine):
         a = engine.timeout(1.0, value="a")
-        combo = engine.any_of([a, a])
+        combo = Condition(engine, [a, a], need=1)
         engine.run(until=combo)
         assert combo.value == {a: "a"}
 
@@ -229,23 +225,25 @@ class TestGroupedAllOf:
 
 
 class TestAnyOf:
+    """An any-of is a ``Condition`` with ``need=1``."""
+
     def test_fires_on_first_child(self, engine):
         slow = engine.timeout(5.0)
         fast = engine.timeout(1.0)
-        combo = engine.any_of([slow, fast])
+        combo = Condition(engine, [slow, fast], need=1)
         engine.run(until=combo)
         assert engine.now == 1.0
         assert fast in combo.value and slow not in combo.value
 
     def test_empty_fires_immediately(self, engine):
-        combo = engine.any_of([])
+        combo = Condition(engine, [], need=1)
         engine.run()
         assert combo.processed
 
     def test_late_children_still_processed(self, engine):
         slow = engine.timeout(5.0)
         fast = engine.timeout(1.0)
-        engine.any_of([slow, fast])
+        Condition(engine, [slow, fast], need=1)
         engine.run()
         assert slow.processed
 
@@ -253,7 +251,7 @@ class TestAnyOf:
 def test_children_of_condition_are_defused(engine):
     """A failing child with a condition attached must not abort the run."""
     bad = engine.event()
-    combo = AnyOf(engine, [bad, engine.timeout(1.0)])
+    combo = Condition(engine, [bad, engine.timeout(1.0)], need=1)
     engine.timeout(2.0).callbacks.append(
         lambda _: None)
     assert bad._defused

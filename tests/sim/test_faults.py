@@ -122,6 +122,24 @@ class TestFaultInjector:
         assert injector.stats.injected == 1
         assert injector.stats.by_kind == {WORKER_CRASH: 1}
 
+    def test_raising_handler_aborts_the_run(self):
+        """A handler's error fails the strike's terminal delivery, which
+        nobody waits on: ``run()`` raises it after the start hop, the
+        sleep and that delivery (plus the bystander timeout at 0.5)."""
+        engine = Engine()
+        injector = FaultInjector(engine, FaultPlan.single_crash("w0", 1.5))
+
+        def boom(_fault):
+            raise RuntimeError("handler died")
+
+        injector.on(WORKER_CRASH, boom).arm()
+        engine.timeout(0.5)
+        engine.timeout(3.0)
+        with pytest.raises(RuntimeError, match="handler died"):
+            engine.run()
+        assert engine.events_processed == 4 and engine.now == 1.5
+        assert injector.stats.injected == 0
+
     def test_unhandled_faults_counted(self):
         engine = Engine()
         injector = FaultInjector(

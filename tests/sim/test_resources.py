@@ -1,17 +1,21 @@
-"""Unit tests of Resource and Store."""
+"""Unit tests of Resource."""
 
 import pytest
 
-from repro.sim import Resource, SimError, Store
+from repro.sim import Resource, SimError
 
 
 def user(engine, resource, hold, log, tag):
-    req = resource.request()
-    yield req
-    log.append((tag, "got", engine.now))
-    yield engine.timeout(hold)
-    resource.release(req)
-    log.append((tag, "rel", engine.now))
+    """Request a slot; once granted, hold it ``hold`` seconds."""
+    def granted(req):
+        log.append((tag, "got", engine.now))
+        engine.schedule_call(hold, release, req)
+
+    def release(req):
+        resource.release(req)
+        log.append((tag, "rel", engine.now))
+
+    resource.request().callbacks.append(granted)
 
 
 class TestResource:
@@ -29,7 +33,7 @@ class TestResource:
         res = Resource(engine, capacity=1)
         log = []
         for i in range(3):
-            engine.process(user(engine, res, 1.0, log, i))
+            user(engine, res, 1.0, log, i)
         engine.run()
         got = [(tag, t) for tag, kind, t in log if kind == "got"]
         assert got == [(0, 0.0), (1, 1.0), (2, 2.0)]
@@ -55,37 +59,11 @@ class TestResource:
         res.release(queued)          # cancel while waiting
         assert res.queue_length == 0
 
-    def test_context_manager_releases(self, engine):
-        res = Resource(engine, capacity=1)
-
-        def proc():
-            with res.request() as req:
-                yield req
-                yield engine.timeout(1.0)
-            return res.count
-
-        p = engine.process(proc())
-        engine.run()
-        assert p.value == 0
-
-    def test_acquire_helper_holds_for_duration(self, engine):
-        res = Resource(engine, capacity=1)
-        log = []
-
-        def proc(tag):
-            yield from res.acquire(2.0)
-            log.append((tag, engine.now))
-
-        engine.process(proc("a"))
-        engine.process(proc("b"))
-        engine.run()
-        assert log == [("a", 2.0), ("b", 4.0)]
-
     def test_parallel_capacity_two(self, engine):
         res = Resource(engine, capacity=2)
         log = []
         for i in range(4):
-            engine.process(user(engine, res, 2.0, log, i))
+            user(engine, res, 2.0, log, i)
         engine.run()
         got = dict((tag, t) for tag, kind, t in log if kind == "got")
         assert got == {0: 0.0, 1: 0.0, 2: 2.0, 3: 2.0}
@@ -94,65 +72,3 @@ class TestResource:
         res = Resource(engine, capacity=3, name="pcie")
         assert "pcie" in repr(res) and "0/3" in repr(res)
 
-
-class TestStore:
-    def test_put_then_get(self, engine):
-        store = Store(engine)
-        store.put("x")
-        ev = store.get()
-        engine.run()
-        assert ev.value == "x"
-
-    def test_get_blocks_until_put(self, engine):
-        store = Store(engine)
-
-        def consumer():
-            item = yield store.get()
-            return (item, engine.now)
-
-        def producer():
-            yield engine.timeout(3.0)
-            store.put("late")
-
-        c = engine.process(consumer())
-        engine.process(producer())
-        engine.run()
-        assert c.value == ("late", 3.0)
-
-    def test_fifo_item_order(self, engine):
-        store = Store(engine)
-        for i in range(3):
-            store.put(i)
-        values = []
-        for _ in range(3):
-            ev = store.get()
-            ev.callbacks.append(lambda e: values.append(e.value))
-        engine.run()
-        assert values == [0, 1, 2]
-
-    def test_fifo_getter_order(self, engine):
-        store = Store(engine)
-        values = []
-
-        def consumer(tag):
-            item = yield store.get()
-            values.append((tag, item))
-
-        engine.process(consumer("a"))
-        engine.process(consumer("b"))
-
-        def producer():
-            yield engine.timeout(1.0)
-            store.put(1)
-            store.put(2)
-
-        engine.process(producer())
-        engine.run()
-        assert values == [("a", 1), ("b", 2)]
-
-    def test_len_counts_items(self, engine):
-        store = Store(engine)
-        assert len(store) == 0
-        store.put("x")
-        store.put("y")
-        assert len(store) == 2

@@ -133,7 +133,8 @@ def _capture_schedule(uvm_backend):
         drive(rt)
         return {"spans": [[s.lane, s.category, s.name, s.start, s.end]
                           for s in rt.tracer.spans],
-                "elapsed": rt.engine.now}
+                "elapsed": rt.engine.now,
+                "events": rt.engine.events_processed}
     finally:
         rt.shutdown()
 
