@@ -10,7 +10,7 @@ import pytest
 
 from repro.cluster import paper_cluster
 from repro.core import GroutRuntime, RoundRobinPolicy
-from repro.gpu import TEST_GPU_1GB
+from repro.gpu import ArrayAccess, Direction, KernelSpec, TEST_GPU_1GB
 from repro.gpu.specs import MIB
 from repro.sim import FaultPlan, SimError
 from repro.workloads import make_workload
@@ -106,6 +106,36 @@ class TestCrashRecovery:
         direct = run(direct=True)
         assert direct[2] > 0              # moves from worker0 re-sourced
         assert direct == run(direct=False)
+
+    def test_queued_prefetch_reexecutes_on_a_fresh_stream(self):
+        """A user-directed prefetch still queued on the crashed worker
+        re-runs on a survivor's fresh stream, and the kernel reading its
+        array still sees the host-written values."""
+        rt = make_runtime(n_workers=3)
+        rt.install_faults(FaultPlan.parse("crash:worker0@0.00005"))
+        a = rt.device_array(8, np.float32, virtual_nbytes=64 * MIB,
+                            name="a")
+        b = rt.device_array(8, np.float32, virtual_nbytes=8 * MIB,
+                            name="b")
+        rt.host_write(a, lambda: a.data.fill(2.0))
+        prefetch = rt.prefetch(a, worker="worker0")
+
+        def access_fn(args):
+            return [ArrayAccess(args[0], Direction.IN),
+                    ArrayAccess(args[1], Direction.OUT)]
+
+        double = KernelSpec(
+            "double", flops_per_byte=0.5, access_fn=access_fn,
+            executor=lambda x, y: np.multiply(x.data, 2, out=y.data))
+        rt.launch(double, 8, 128, (a, b))
+        assert rt.host_read(b)[0] == 4.0
+        assert rt.sync()
+        assert rt.controller.stats.ces_reexecuted >= 1
+        assert prefetch.assigned_lane == "worker2/gpu0/stream0"
+        # Clock and deliveries are pinned: the re-executed prefetch
+        # must take the same hops on its fresh stream.
+        assert rt.engine.now == 0.17993583776
+        assert rt.engine.events_processed == 60
 
     def test_crash_of_unknown_worker_raises(self):
         rt = make_runtime()
