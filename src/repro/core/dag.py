@@ -97,13 +97,21 @@ from repro.core.ce import ComputationalElement
 from repro.sim.events import AllOf
 
 
+#: The ancestor set of every node without one: a node with no parents,
+#: or one whose frontier membership ended.  Shared, so it is never
+#: mutated; ``add`` builds a fresh set only for a node with parents.
+_NO_ANCESTORS: frozenset[int] = frozenset()
+
+
 @dataclass(slots=True)
 class _NodeInfo:
     #: Frontier-relevant transitive ancestors (see module docstring) —
     #: internal to filterRedundant; NOT the full closure.
-    ancestors: set[int] = field(default_factory=set)
-    parents: list = field(default_factory=list)
-    children: list[ComputationalElement] = field(default_factory=list)
+    ancestors: "set[int] | frozenset[int]"
+    #: Direct (filtered) ancestors: the list ``add`` returned.
+    parents: list
+    #: Direct dependents, created with the first one.
+    children: list[ComputationalElement] | None = None
 
 
 class _CohortJoin:
@@ -231,7 +239,7 @@ class DependencyDag:
 
     def children(self, ce: ComputationalElement) -> list[ComputationalElement]:
         """Direct dependents of a CE."""
-        return list(self._info[ce.ce_id].children)
+        return list(self._info[ce.ce_id].children or ())
 
     def ancestors(self, ce: ComputationalElement) -> set[int]:
         """Transitive ancestor ce_ids (full closure over live nodes).
@@ -259,7 +267,8 @@ class DependencyDag:
 
     def edge_count(self) -> int:
         """Total number of dependency edges."""
-        return sum(len(i.children) for i in self._info.values())
+        return sum(len(i.children) for i in self._info.values()
+                   if i.children)
 
     def pending_accessors(self, buffer_id: int) -> list:
         """The nodes a host-side *write* of this buffer must wait for:
@@ -331,22 +340,9 @@ class DependencyDag:
         candidates.pop(cid, None)
 
         filtered = self._filter_redundant(list(candidates.values()))
-
-        fcount = self._frontier_count
-        all_info = self._info
-        info = _NodeInfo()
-        anc = info.ancestors
-        parents = info.parents
-        for parent in filtered:
-            pinfo = all_info[parent.ce_id]
-            pinfo.children.append(ce)
-            parents.append(parent)
-            anc.add(parent.ce_id)
-            if pinfo.ancestors:
-                # Propagate only ids still in the frontier — the bounded
-                # representation the module docstring justifies.
-                anc |= pinfo.ancestors & fcount.keys()
-        all_info[cid] = info
+        # The returned list doubles as the node's parent list; callers
+        # only read it.
+        self._info[cid] = _NodeInfo(self._link(ce, filtered), filtered)
         self._nodes[cid] = ce
 
         self._update_frontier(ce, cid)
@@ -368,24 +364,35 @@ class DependencyDag:
         cid = ce.ce_id
         if cid in self._nodes:
             raise ValueError(f"{ce!r} already in the DAG")
-        fcount = self._frontier_count
-        all_info = self._info
-        info = _NodeInfo()
-        anc = info.ancestors
-        kept = info.parents
-        for parent in parents:
-            pinfo = all_info.get(parent.ce_id)
-            if pinfo is None:
-                continue    # pruned since recording: completed, vacuous
-            pinfo.children.append(ce)
-            kept.append(parent)
-            anc.add(parent.ce_id)
-            if pinfo.ancestors:
-                anc |= pinfo.ancestors & fcount.keys()
-        all_info[cid] = info
+        # Parents pruned since recording completed: their edges are vacuous.
+        info = self._info
+        kept = [p for p in parents if p.ce_id in info]
+        info[cid] = _NodeInfo(self._link(ce, kept), kept)
         self._nodes[cid] = ce
         self._update_frontier(ce, cid)
         return kept
+
+    def _link(self, ce: ComputationalElement, parents: list
+              ) -> "set[int] | frozenset[int]":
+        """Add the edges from ``parents`` to ``ce``; returns ``ce``'s
+        bounded ancestor set."""
+        if not parents:
+            return _NO_ANCESTORS
+        fkeys = self._frontier_count.keys()
+        all_info = self._info
+        anc: set[int] = set()
+        for parent in parents:
+            pinfo = all_info[parent.ce_id]
+            if pinfo.children is None:
+                pinfo.children = [ce]
+            else:
+                pinfo.children.append(ce)
+            anc.add(parent.ce_id)
+            if pinfo.ancestors:
+                # Propagate only ids still in the frontier — the bounded
+                # representation the module docstring justifies.
+                anc |= pinfo.ancestors & fkeys
+        return anc
 
     def _update_frontier(self, ce: ComputationalElement, cid: int) -> None:
         """updateFrontier — shared tail of :meth:`add` and
@@ -454,9 +461,7 @@ class DependencyDag:
             minfo = self._info[m.ce_id]
             if minfo.ancestors:
                 anc |= minfo.ancestors & fkeys
-        info = _NodeInfo()
-        info.ancestors = anc
-        self._info[join.ce_id] = info
+        self._info[join.ce_id] = _NodeInfo(anc, [])
         self._joins[join.ce_id] = join
         for m in members:
             self._leave(m.ce_id, departed)
@@ -483,7 +488,7 @@ class DependencyDag:
             if info is not None:
                 # Out of the frontier for good: the bounded set can
                 # never be consulted again.
-                info.ancestors = set()
+                info.ancestors = _NO_ANCESTORS
             if cid < 0:
                 self._retired_joins.append(self._joins[cid])
             elif cid in self._nodes:
@@ -644,7 +649,7 @@ class DependencyDag:
     def _remove_node(self, cid: int) -> None:
         info = self._info.pop(cid)
         info_map = self._info
-        for child in info.children:
+        for child in info.children or ():
             cinfo = info_map.get(child.ce_id)
             if cinfo is not None:
                 cinfo.parents = [p for p in cinfo.parents

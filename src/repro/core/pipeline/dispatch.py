@@ -96,6 +96,8 @@ class DispatchStage(Stage):
         self.gate = gate
         self._session_ces = controller.metrics.family(
             "grout_session_ces_scheduled_total")
+        #: node -> the ``ctl->{node}`` latency-wait name, built once.
+        self._latency_names: dict[str, str] = {}
 
     def process(self, ce, state: SchedulingState) -> SchedulingState:
         """Run this phase for one CE (see the class docstring)."""
@@ -104,8 +106,12 @@ class DispatchStage(Stage):
             latency = controller.cluster.topology.latency(
                 controller.cluster.controller.name, state.node)
             if latency > 0:
+                name = self._latency_names.get(state.node)
+                if name is None:
+                    name = self._latency_names[state.node] = \
+                        f"ctl->{state.node}"
                 state.waits.append(controller.engine.timeout(
-                    latency, name=f"ctl->{state.node}"))
+                    latency, name=name))
             done = controller.workers[state.node].submit(ce, state.waits)
         else:
             done = HostCe(controller.engine, ce, state.waits).done

@@ -91,9 +91,12 @@ class Move(Event):
         self._measured_from: float | None = None
         self._rescues = 0
         # One start hop before anything runs.
-        engine.schedule_call(0.0, self._run, 0)
+        engine.schedule_call(0.0, Move._start, self)
 
     # -- chain stages --------------------------------------------------------
+
+    def _start(self) -> None:
+        self._run(0)    # stale if an interrupt came first
 
     def _wait(self, ev: Event, then: Callable[[Event], None]) -> None:
         """Continue with ``then(ev)`` once ``ev`` is delivered (defused:
