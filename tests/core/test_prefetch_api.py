@@ -83,6 +83,36 @@ class TestGroutPrefetch:
         assert ce.assigned_node == "worker1"
         assert rt.controller.directory.up_to_date_on(a, "worker1")
 
+    def test_queued_prefetch_survives_a_later_remote_write(self):
+        """Coherence drops worker1's replica when the later kernel is
+        scheduled on worker0; the still-queued prefetch re-registers it
+        when it starts instead of failing the run."""
+        import numpy as np
+
+        from repro.cluster import paper_cluster
+        from repro.core import RoundRobinPolicy
+        from repro.gpu import TEST_GPU_1GB
+
+        rt = GroutRuntime(paper_cluster(2, gpu_spec=TEST_GPU_1GB),
+                          policy=RoundRobinPolicy())
+        a = rt.device_array(8, np.float32, virtual_nbytes=8 * MIB,
+                            name="a")
+        rt.host_write(a, lambda: a.data.fill(2.0))
+        prefetch = rt.prefetch(a, worker="worker1")
+
+        def access_fn(args):
+            return [ArrayAccess(args[0], Direction.INOUT)]
+
+        double = KernelSpec(
+            "double", access_fn=access_fn,
+            executor=lambda x: np.multiply(x.data, 2, out=x.data))
+        ce = rt.launch(double, 8, 128, (a,))
+        assert (prefetch.assigned_node, ce.assigned_node) == \
+            ("worker1", "worker0")
+        assert rt.host_read(a)[0] == 4.0
+        assert rt.sync()
+        assert prefetch.done.processed
+
     def test_unknown_worker_rejected(self, grout):
         a = grout.device_array(64, virtual_nbytes=MIB)
         with pytest.raises(KeyError):
