@@ -166,3 +166,21 @@ class TestTeardown:
         service.close()
         with pytest.raises(ServiceClosed):
             service.submit(_spec())
+
+
+class TestLongLivedRuntime:
+    def test_worker_maps_stay_bounded_across_requests(self):
+        """A worker's scheduler maps track its streams and its live
+        buffers, not every CE and buffer the shared runtime ever saw."""
+        with _service() as service:
+            for seed in range(8):
+                service.submit(_spec(seed=seed))
+            reports = service.settle_all()
+            assert all(r["completed"] and r["verified"] for r in reports)
+            controller = service.runtime.controller
+            # Settled sessions freed every array they allocated.
+            assert controller.directory.total_bytes == 0
+            for sched in controller.workers.values():
+                streams = sum(len(gpu.streams) for gpu in sched.node.gpus)
+                assert 0 < len(sched._streams) <= streams
+                assert sched._planned_gpu == {}
