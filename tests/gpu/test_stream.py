@@ -2,18 +2,29 @@
 
 import pytest
 
+from repro.gpu.stream import StreamOp
 
-def op(duration, log=None, tag=None):
-    """An op body: sleep ``duration``, log the end, complete with ``tag``."""
-    def begin(stream_op):
-        def fin(stream_op):
-            if log is not None:
-                log.append((tag, stream_op.engine.now))
-            stream_op.finish(tag)
 
-        stream_op.sleep(duration, fin)
+class Sleep(StreamOp):
+    """An op that sleeps ``duration``, logs its end and completes with
+    ``tag``."""
 
-    return begin
+    __slots__ = ("duration", "log", "tag")
+
+    def __init__(self, stream, duration, log=None, tag=None, *,
+                 name="op", category="kernel"):
+        super().__init__(stream, name, category)
+        self.duration = duration
+        self.log = log
+        self.tag = tag
+
+    def begin(self):
+        self.sleep(self.duration, Sleep.fin)
+
+    def fin(self):
+        if self.log is not None:
+            self.log.append((self.tag, self.engine.now))
+        self.finish(self.tag)
 
 
 class TestFifoOrder:
@@ -21,37 +32,43 @@ class TestFifoOrder:
         stream = gpu.new_stream()
         log = []
         for i, d in enumerate((2.0, 1.0, 3.0)):
-            stream.enqueue(op(d, log, i), name=f"op{i}")
+            stream.push(Sleep(stream, d, log, i, name=f"op{i}"))
         engine.run()
         assert log == [(0, 2.0), (1, 3.0), (2, 6.0)]
 
     def test_completion_event_value(self, engine, gpu):
         stream = gpu.new_stream()
-        done = stream.enqueue(op(1.0, tag="result"))
+        done = stream.push(Sleep(stream, 1.0, tag="result"))
         engine.run()
         assert done.value == "result"
 
     def test_two_streams_overlap(self, engine, gpu):
         s1, s2 = gpu.new_stream(), gpu.new_stream()
         log = []
-        s1.enqueue(op(2.0, log, "a"))
-        s2.enqueue(op(2.0, log, "b"))
+        s1.push(Sleep(s1, 2.0, log, "a"))
+        s2.push(Sleep(s2, 2.0, log, "b"))
         engine.run()
         assert log == [("a", 2.0), ("b", 2.0)]   # concurrent
 
     def test_wait_events_delay_start(self, engine, gpu):
         s1, s2 = gpu.new_stream(), gpu.new_stream()
         log = []
-        first = s1.enqueue(op(3.0, log, "producer"))
-        s2.enqueue(op(1.0, log, "consumer"), waits=[first])
+        first = s1.push(Sleep(s1, 3.0, log, "producer"))
+        s2.push(Sleep(s2, 1.0, log, "consumer"), waits=[first])
         engine.run()
         assert log == [("producer", 3.0), ("consumer", 4.0)]
 
     def test_ops_enqueued_counter(self, engine, gpu):
         stream = gpu.new_stream()
-        stream.enqueue(op(1.0))
-        stream.enqueue(op(1.0))
+        stream.push(Sleep(stream, 1.0))
+        stream.push(Sleep(stream, 1.0))
         assert stream.ops_enqueued == 2
+
+    def test_base_op_has_no_body(self, engine, gpu):
+        stream = gpu.new_stream()
+        stream.push(StreamOp(stream, "bare", "kernel"))
+        with pytest.raises(NotImplementedError):
+            engine.run()
 
 
 class TestSynchronize:
@@ -63,13 +80,13 @@ class TestSynchronize:
 
     def test_sync_is_last_completion(self, engine, gpu):
         stream = gpu.new_stream()
-        stream.enqueue(op(1.0))
-        tail = stream.enqueue(op(2.0))
+        stream.push(Sleep(stream, 1.0))
+        tail = stream.push(Sleep(stream, 2.0))
         assert stream.synchronize() is tail
 
     def test_sync_after_completion_fires_immediately(self, engine, gpu):
         stream = gpu.new_stream()
-        stream.enqueue(op(1.0))
+        stream.push(Sleep(stream, 1.0))
         engine.run()
         sync = stream.synchronize()
         engine.run()
@@ -79,8 +96,8 @@ class TestSynchronize:
 class TestTracing:
     def test_spans_recorded_on_lane(self, engine, gpu, tracer):
         stream = gpu.new_stream()
-        stream.enqueue(op(2.0), name="mykernel",
-                       category="kernel")
+        stream.push(Sleep(stream, 2.0, name="mykernel",
+                          category="kernel"))
         engine.run()
         spans = tracer.by_category("kernel")
         assert len(spans) == 1
