@@ -189,6 +189,10 @@ class Directory:
             self._states[array.buffer_id] = state
         return state
 
+    def __len__(self) -> int:
+        """Number of registered arrays."""
+        return len(self._states)
+
     @property
     def total_bytes(self) -> int:
         """Modeled bytes of every registered array (cluster demand)."""

@@ -11,7 +11,6 @@ GPU, maximising transfer/compute and compute/compute overlap.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 from repro.cluster.node import Node
@@ -98,7 +97,6 @@ class _KernelOp(_CeOp):
         cost = self.cost = uvm.price_kernel(gpu, KernelLaunch(
             ce.kernel, ce.config, tuple(ce.args), tuple(ce.accesses)))
         sched._note_uvm_cost(cost)
-        sched.kernel_costs.append((ce, cost))
         totals = sched.kernel_totals.get(ce.kernel.name)
         if totals is None:
             sched.kernel_totals[ce.kernel.name] = [1, cost.duration]
@@ -239,12 +237,6 @@ class IntraNodeScheduler:
         #: buffer_id -> planned gpu_id; a freed buffer's entry goes with
         #: it (:meth:`forget_buffer`).
         self._planned_gpu: dict[int, int] = {}
-        #: Recent (CE, cost) window for inspection and tests.  Bounded:
-        #: retaining every pair would pin all CEs in memory on
-        #: million-launch runs.  Exact per-kernel aggregates live in
-        #: :attr:`kernel_totals`.
-        self.kernel_costs: deque[tuple[ComputationalElement, KernelCost]] = \
-            deque(maxlen=1024)
         #: kernel name -> [launch count, total priced seconds]; exact over
         #: the node's lifetime (what the run report aggregates).
         self.kernel_totals: dict[str, list] = {}
@@ -513,9 +505,11 @@ class IntraNodeScheduler:
     # -- replica management (used by the GrOUT coherence layer) --------------------
 
     def forget_buffer(self, buffer_id: int) -> None:
-        """Drop a freed buffer from the local DAG and the GPU plan."""
+        """Drop a freed buffer from the local DAG, the GPU plan and the
+        node's pricers."""
         self.local_dag.forget_buffer(buffer_id)
         self._planned_gpu.pop(buffer_id, None)
+        self.node.uvm.forget_buffer(buffer_id)
 
     def drop_replica(self, array) -> None:
         """Invalidate a local copy after a remote node took ownership."""

@@ -269,23 +269,27 @@ class Session:
             rt.free(array)
 
     def reclaim(self) -> int:
-        """Free every array allocated through this session; returns the
-        count.
+        """Free every array allocated through this session and drop its
+        CEs' profiles; returns the array count.
 
         The serve layer calls this after a finished submission's report
         is sealed: a persistent runtime otherwise accumulates every
         departed program's managed bytes, climbing the node OSF — and
         with it every later launch's modeled degradation — without
-        bound.  Callable on a closed session (freeing is runtime
-        bookkeeping, not a submission).  Arrays shared with other
-        sessions must not be reclaimed; sessions only track their own
-        allocations, so self-contained programs (every registry
-        workload) are safe by construction.
+        bound.  The profiler's phase totals stay exact.  Callable on a
+        closed session (freeing is runtime bookkeeping, not a
+        submission).  Arrays shared with other sessions must not be
+        reclaimed; sessions only track their own allocations, so
+        self-contained programs (every registry workload) are safe by
+        construction.
         """
         arrays, self._allocated = self._allocated, []
         rt = self._runtime
         for array in arrays:
             rt.free(array)
+        forget = rt.profiler.forget
+        for ce in self._ces:
+            forget(ce.ce_id)
         return len(arrays)
 
     def launch(self, *args, **kwargs):

@@ -21,7 +21,8 @@ one run can be sliced into four phases per CE (and per node):
 Memory is bounded: per-phase totals stay exact forever, while the
 per-CE table compacts itself to the slowest half once ``capacity`` is
 exceeded — the summary's "top-N slowest CEs" view survives compaction by
-construction.
+construction.  A long-lived runtime drops a departed program's profiles
+outright (:meth:`CeProfiler.forget`, called by ``Session.reclaim``).
 """
 
 from __future__ import annotations
@@ -188,6 +189,10 @@ class CeProfiler:
             profile.lane = lane
 
     # -- bounded memory -------------------------------------------------------
+
+    def forget(self, ce_id: int) -> None:
+        """Drop one CE's profile, if retained (totals stay exact)."""
+        self._profiles.pop(ce_id, None)
 
     def _compact(self) -> None:
         """Drop the fastest half of the table (totals stay exact)."""

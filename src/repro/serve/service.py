@@ -84,7 +84,13 @@ class GroutService:
         self.tenant_quota = tenant_quota
         self.max_sessions = max_sessions
         self.runtime = config.build_runtime()
+        # Nothing in the service reads a span, and a persistent runtime
+        # would keep every request's spans forever.
+        self.runtime.tracer.enabled = False
         self._tickets: dict[int, Ticket] = {}   # in flight, by id
+        #: Drain-capped tickets whose CEs still run, by id: each
+        #: session reclaims once its countdown reaches zero.
+        self._capped: dict[int, Ticket] = {}
         #: Ticket ids whose last CE completed, awaiting finalization —
         #: pushed by the per-ticket countdown callback, drained by
         #: :meth:`_collect`, so collection never scans every ticket.
@@ -262,10 +268,12 @@ class GroutService:
         finished = []
         for ticket_id in self._finished:
             ticket = self._tickets.get(ticket_id)
-            # Already finalized (drain-cap timeout) tickets fall out of
-            # _tickets; a late countdown hit on one is a no-op.
-            if ticket is not None and not ticket.finalized:
+            if ticket is not None:
                 finished.append(ticket)
+            else:
+                # A drain-capped ticket's tail drained: no CE touches
+                # its arrays any more, so its memory goes back.
+                self._capped.pop(ticket_id).session.reclaim()
         self._finished.clear()
         for ticket in finished:
             self._finalize(ticket, completed=True)
@@ -288,10 +296,12 @@ class GroutService:
             # Return the program's managed memory to the UVM spaces: a
             # persistent service otherwise accumulates every finished
             # session's bytes, driving the node OSF — and every later
-            # tenant's modeled slowdown — monotonically upward.  A
-            # drain-capped ticket still has CEs running against its
-            # arrays, so only fully completed sessions reclaim.
+            # tenant's modeled slowdown — monotonically upward.
             ticket.session.reclaim()
+        else:
+            # A drain-capped ticket still has CEs running against its
+            # arrays: it reclaims once they finish (:meth:`_collect`).
+            self._capped[ticket.ticket_id] = ticket
         del self._tickets[ticket.ticket_id]
         self._inflight.set(len(self._tickets))
         ticket.report = {

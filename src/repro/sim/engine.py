@@ -103,6 +103,11 @@ class Engine:
         """
         return self._processed
 
+    @property
+    def queued(self) -> int:
+        """Deliveries still queued, cancelled entries included."""
+        return len(self._ready) + len(self._queue)
+
     # -- event factories -----------------------------------------------------
 
     def event(self, name: str | None = None) -> Event:

@@ -184,6 +184,11 @@ class UvmSpace:
             dev.forget(buffer_id)
         self.advises.forget(buffer_id)
 
+    def forget_buffer(self, buffer_id: int) -> None:
+        """Drop what the pricers keep of a freed buffer."""
+        for dev in self._devices.values():
+            dev.pricer.forget(buffer_id)
+
     def is_registered(self, buffer_id: int) -> bool:
         """Whether a buffer belongs to this space."""
         return buffer_id in self._buffers
@@ -407,7 +412,7 @@ class UvmSpace:
         for table, delta in zip(tables, record.clock_delta):
             if delta:
                 table.advance_clock(delta)
-        ordinals = dev.pricer._ordinals
+        number = dev.pricer.number
         for b, bid in zip(record.buffers, buffer_ids):
             dev.touch(bid, b.nbytes)
             for table, clock, fill in zip(tables, base, b.fills):
@@ -420,7 +425,7 @@ class UvmSpace:
                     bid, resident=resident, dirty=dirty,
                     clock=None if stamp is None else clock + stamp,
                     touches=touches)
-            ordinals.setdefault(bid, len(ordinals))
+            number(bid)
         dev.pricer._seed += 1
         cost = record.cost
         stats = self.stats

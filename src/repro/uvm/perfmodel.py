@@ -180,9 +180,23 @@ class KernelPricer:
         self._seed = 0
         #: buffer id -> first-use ordinal; keeps RANDOM page sampling
         #: deterministic across runs (ids are process-global counters).
+        #: A freed buffer's entry goes with it (:meth:`forget`); the
+        #: count of buffers ever seen numbers the next one, so every
+        #: live buffer keeps its ordinal.
         self._ordinals: dict[int, int] = {}
+        self._ordinals_seen = 0
         #: Memoized seed-independent buffer plans (see _plan_buffers).
         self._plan_cache: dict[tuple, _BufferPlan] = {}
+
+    def number(self, buffer_id: int) -> None:
+        """Give a buffer its first-use ordinal, once."""
+        if buffer_id not in self._ordinals:
+            self._ordinals[buffer_id] = self._ordinals_seen
+            self._ordinals_seen += 1
+
+    def forget(self, buffer_id: int) -> None:
+        """Drop a freed buffer's ordinal."""
+        self._ordinals.pop(buffer_id, None)
 
     def price(self, launch: KernelLaunch, pressure: float,
               pinned_host: frozenset[int] = frozenset()) -> KernelCost:
@@ -207,8 +221,7 @@ class KernelPricer:
         launch = KernelLaunch(launch.kernel, launch.config, launch.args,
                               regular) if zero_copy_s else launch
         for access in launch.accesses:
-            self._ordinals.setdefault(access.buffer.buffer_id,
-                                      len(self._ordinals))
+            self.number(access.buffer.buffer_id)
         plans = _plan_buffers(launch.accesses, table.page_size,
                               self._seed, self._ordinals,
                               cache=self._plan_cache)

@@ -120,9 +120,9 @@ class TestPlacement:
         ce = kernel_ce(make_kernel("x"), ArrayAccess(a, Direction.IN))
         ce.done = sched.submit(ce)
         engine.run()
-        assert len(sched.kernel_costs) == 1
-        recorded_ce, cost = sched.kernel_costs[0]
-        assert recorded_ce is ce and cost.duration > 0
+        cost = ce.done.value
+        assert cost.duration > 0
+        assert sched.kernel_totals["k_x"] == [1, cost.duration]
 
 
 class TestWaits:

@@ -126,6 +126,7 @@ def assert_same_state(memo, live):
         assert a.pricer._seed == b.pricer._seed
         assert list(a.pricer._ordinals.items()) \
             == list(b.pricer._ordinals.items())
+        assert a.pricer._ordinals_seen == b.pricer._ordinals_seen
 
 
 def apply(space, gpus, bufs, op, price):

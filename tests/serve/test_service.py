@@ -1,5 +1,7 @@
 """GroutService — admission, quotas, progress, reports, teardown."""
 
+import weakref
+
 import pytest
 
 from repro.core import RuntimeConfig
@@ -184,3 +186,45 @@ class TestLongLivedRuntime:
                 streams = sum(len(gpu.streams) for gpu in sched.node.gpus)
                 assert 0 < len(sched._streams) <= streams
                 assert sched._planned_gpu == {}
+                for dev in sched.node.uvm._devices.values():
+                    assert dev.pricer._ordinals == {}
+
+    def test_reclaimed_session_frees_its_arrays(self):
+        """Once a settled ticket's session reclaimed and both DAGs are
+        pruned, nothing in the runtime keeps its arrays alive."""
+        with _service() as service:
+            ticket = service.submit(_spec(seed=3))
+            refs = [weakref.ref(array) for ce in ticket.session.ces()
+                    for array in ce.arrays]
+            assert refs
+            report = service.settle(ticket)
+            assert report["completed"] and report["verified"]
+            del ticket
+            controller = service.runtime.controller
+            controller.dag.prune_completed(
+                lambda ce: ce.done is not None and ce.done.processed)
+            for sched in controller.workers.values():
+                sched.local_dag.prune_completed()
+            alive = [ref() for ref in refs if ref() is not None]
+            assert alive == []
+
+    def test_drain_capped_ticket_reclaims_once_its_tail_drains(self):
+        """A ticket settled past its drain cap reports as it stands; once
+        its remaining CEs finish, its memory goes back like any other's
+        (otherwise every later tenant is priced at a higher node OSF)."""
+        with _service() as service:
+            report = service.settle(service.submit(
+                _spec(workload="cg", footprint_bytes=256 * MIB, seed=1,
+                      timeout=1e-4)))
+            assert not report["completed"]
+            runtime = service.runtime
+            controller = runtime.controller
+            workers = controller.workers.values()
+            assert len(controller.directory) > 0
+            assert sum(w.node.uvm.managed_bytes for w in workers) > 0
+            while runtime.engine.queued:
+                service.pump()
+            assert len(controller.directory) == 0
+            assert [w.node.uvm.managed_bytes for w in workers] == \
+                [0] * len(workers)
+            assert len(runtime.profiler) == 0
