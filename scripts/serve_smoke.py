@@ -2,8 +2,9 @@
 """End-to-end smoke of the ``grout serve`` daemon (the CI serve job).
 
 Boots ``python -m repro serve`` as a subprocess on an ephemeral port,
-waits for the readiness line, submits one registry workload spec over
-plain HTTP, validates the grout-serve/1 run-report, asks the daemon to
+waits for the readiness line, submits two registry workload specs over
+plain HTTP (``mv``, then ``bs``, whose first run makes the daemon load
+SciPy), validates each grout-serve/1 run-report, asks the daemon to
 shut down, and asserts a clean exit — all within a hard timeout.
 
 Exit code 0 on success; non-zero with a diagnostic otherwise.
@@ -21,7 +22,8 @@ import urllib.request
 
 BOOT_TIMEOUT = 60          # seconds to wait for the readiness line
 EXIT_TIMEOUT = 60          # seconds to wait for a clean exit
-SPEC = {"workload": "mv", "gb": 0.125, "tenant": "smoke"}
+SPECS = ({"workload": "mv", "gb": 0.125, "tenant": "smoke"},
+         {"workload": "bs", "gb": 0.125, "tenant": "smoke"})
 
 REPORT_KEYS = {"schema", "ticket", "tenant", "session", "workload",
                "footprint_bytes", "ce_count", "submitted_at",
@@ -74,19 +76,21 @@ def main() -> int:
             if json.loads(r.read().decode()).get("status") != "ok":
                 return fail("unexpected /healthz payload", proc)
 
-        status, report = post(base, "/v1/run", SPEC)
-        if status != 200:
-            return fail(f"/v1/run returned {status}: {report}", proc)
-        missing = REPORT_KEYS - set(report)
-        if missing:
-            return fail(f"run-report missing keys {sorted(missing)}", proc)
-        if report["schema"] != "grout-serve/1":
-            return fail(f"bad schema {report['schema']!r}", proc)
-        if not (report["completed"] and report["verified"]):
-            return fail(f"workload not verified: {report}", proc)
-        print(f"serve-smoke: run-report ok "
-              f"(ce_count={report['ce_count']}, "
-              f"latency={report['latency_seconds']:.4g}s simulated)")
+        for spec in SPECS:
+            status, report = post(base, "/v1/run", spec)
+            if status != 200:
+                return fail(f"/v1/run returned {status}: {report}", proc)
+            missing = REPORT_KEYS - set(report)
+            if missing:
+                return fail(f"run-report missing keys {sorted(missing)}",
+                            proc)
+            if report["schema"] != "grout-serve/1":
+                return fail(f"bad schema {report['schema']!r}", proc)
+            if not (report["completed"] and report["verified"]):
+                return fail(f"workload not verified: {report}", proc)
+            print(f"serve-smoke: {spec['workload']} run-report ok "
+                  f"(ce_count={report['ce_count']}, "
+                  f"latency={report['latency_seconds']:.4g}s simulated)")
 
         status, payload = post(base, "/v1/shutdown", None)
         if status != 200 or payload.get("status") != "shutting-down":

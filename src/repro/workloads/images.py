@@ -20,7 +20,6 @@ Per image-batch chunk::
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from repro.gpu.kernel import (
     AccessPattern,
@@ -43,10 +42,13 @@ EDGE_WEIGHT = 0.35
 
 
 def _blur_axis(data: np.ndarray, axis: int) -> np.ndarray:
+    # SciPy loads on first call (also in _sobel_mag), not at import.
+    from scipy import ndimage
     return ndimage.convolve1d(data, GAUSS, axis=axis, mode="nearest")
 
 
 def _sobel_mag(data: np.ndarray) -> np.ndarray:
+    from scipy import ndimage
     gx = ndimage.sobel(data, axis=-1, mode="nearest")
     gy = ndimage.sobel(data, axis=-2, mode="nearest")
     return np.sqrt(gx * gx + gy * gy)
