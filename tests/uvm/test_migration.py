@@ -94,6 +94,38 @@ class TestMigrateIn:
                                   osf=0.5)
         assert stats.prefetched_pages > 0
 
+    def test_prefetch_never_displaces_demand(self):
+        """A window that fits exactly is admitted whole, even when the
+        prefetcher would grow it past the device: the expansion's tail
+        must not push demanded pages out of the clamp."""
+        small = DevicePageTable(128, SPEC.page_size)
+        engine = MigrationEngine(small, SPEC, NO_THRASH)
+        small.register(1, 256)
+        window = pages(128, start=20)
+        stats = engine.migrate_in(1, window, write=False,
+                                  pattern=AccessPattern.SEQUENTIAL,
+                                  osf=1.0)
+        state = small.buffer(1)
+        assert state.resident[window].all()
+        assert state.resident_count == 128
+        assert stats.migrated_pages == 128
+        assert stats.prefetched_pages == 0
+        assert stats.batches == engine.batch_count(
+            128, AccessPattern.SEQUENTIAL)
+
+    def test_prefetch_applies_when_it_fits(self):
+        small = DevicePageTable(160, SPEC.page_size)
+        engine = MigrationEngine(small, SPEC, NO_THRASH)
+        small.register(1, 256)
+        stats = engine.migrate_in(1, pages(128, start=20), write=False,
+                                  pattern=AccessPattern.SEQUENTIAL,
+                                  osf=1.0)
+        # Block 4 (pages 128..159) is 20/32 hot: its 12 cold pages ride
+        # along; block 0 (12/32) does not.
+        assert stats.prefetched_pages == 12
+        assert stats.migrated_pages == 140
+        assert small.buffer(1).resident[20:160].all()
+
     def test_degradation_slows_transfer(self, table):
         engine = MigrationEngine(table, SPEC, PAPER_CALIBRATION,
                                  prefetch=PrefetchConfig(enabled=False))
