@@ -152,6 +152,42 @@ def test_micro_kernel_pricing_live(benchmark):
     assert space.memo_hits == 0
 
 
+def test_micro_kernel_pricing_evicting(benchmark):
+    """price_kernel on launches that must evict: the Fig. 7 shape.
+
+    Three read-write buffers of 3/4 of the device each, launched
+    round-robin.  No two fit together, so from the third launch on
+    every launch faults its whole buffer and evicts the buffers
+    launched before it; the pricing memo never serves such a launch.
+    """
+    engine = Engine()
+    gpu = Gpu(engine, SPEC, node_name="n", index=0)
+    space = UvmSpace([gpu])
+
+    class Buf:
+        def __init__(self, buffer_id):
+            self.buffer_id = buffer_id
+            self.nbytes = SPEC.memory_bytes * 3 // 4
+
+    launches = []
+    for buffer_id in (515151, 515152, 515153):
+        buf = Buf(buffer_id)
+        space.register(buf)
+        launches.append(KernelLaunch(
+            KernelSpec("k", flops_per_byte=1.0),
+            LaunchConfig((16,), (256,)), (buf,),
+            (ArrayAccess(buf, Direction.INOUT),)))
+    counter = iter(range(10**9))
+
+    def launch():
+        space.price_kernel(gpu, launches[next(counter) % len(launches)])
+
+    benchmark(launch)
+    print(f"\nevicting launch: {benchmark.stats.stats.mean * 1e6:.1f} us "
+          f"per launch")
+    assert space.stats.writeback_bytes > 0
+
+
 def test_micro_engine_event_throughput(benchmark):
     """Raw engine throughput: schedule + process one timeout event."""
     engine = Engine()

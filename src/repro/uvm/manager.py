@@ -309,24 +309,27 @@ class UvmSpace:
         """
         table = dev.table
         page_size = table.page_size
-        index: dict[int, int] = {}
-        sizes: list[int] = []
+        sizes: dict[int, int] = {}     # buffer id -> pages, first-use order
+        for access in launch.accesses:
+            buffer = access.buffer
+            if buffer.buffer_id not in sizes:
+                sizes[buffer.buffer_id] = pages_for_bytes(buffer.nbytes,
+                                                          page_size)
+        if sum(sizes.values()) > table.free_pages:
+            return None
+        index = {bid: i for i, bid in enumerate(sizes)}
         accesses = []
         for access in launch.accesses:
             buffer = access.buffer
-            i = index.get(buffer.buffer_id)
-            if i is None:
-                i = index[buffer.buffer_id] = len(sizes)
-                sizes.append(pages_for_bytes(buffer.nbytes, page_size))
             if (access.fraction < 1.0
-                    and touched_page_count(access, page_size) < sizes[i]):
+                    and touched_page_count(access, page_size)
+                    < sizes[buffer.buffer_id]):
                 return None
-            accesses.append((i, access.pattern, access.fraction,
-                             access.direction, access.passes, buffer.nbytes))
-        if sum(sizes) > table.free_pages:
-            return None
+            accesses.append((index[buffer.buffer_id], access.pattern,
+                             access.fraction, access.direction,
+                             access.passes, buffer.nbytes))
         states = []
-        for bid, n_pages in zip(index, sizes):
+        for bid, n_pages in sizes.items():
             self._require(bid)
             advise_set = self.advises.for_buffer(bid)
             if advise_set.preferred_host or advise_set.read_mostly:
@@ -348,7 +351,7 @@ class UvmSpace:
                 states.append(3 if dirty else 2)
         key = (dev.gpu.gpu_id, page_size, launch.flops, self.oversubscription,
                tuple(accesses), tuple(states))
-        return key, list(index)
+        return key, list(sizes)
 
     def _price_live(self, gpu: Gpu, launch: KernelLaunch) -> KernelCost:
         """The live pricer: page sets, peer pulls, faults and degradation
@@ -449,10 +452,12 @@ class UvmSpace:
         if nvlink <= 0 or len(self._devices) < 2:
             return 0.0, 0
         table = target.table
-        target_pages = (table.resident_bytes(buffer_id) // table.page_size
-                        if table.is_registered(buffer_id) else 0)
+        state = (table.buffer(buffer_id) if table.is_registered(buffer_id)
+                 else None)
+        best_pages = 0 if state is None else state.resident_count
+        if state is not None and best_pages == state.n_pages:
+            return 0.0, 0     # no peer can hold more than every page
         best: _DeviceUvm | None = None
-        best_pages = target_pages
         for dev in self._devices.values():
             if dev is target or not dev.table.is_registered(buffer_id):
                 continue
@@ -464,8 +469,8 @@ class UvmSpace:
 
         src_state = best.table.buffer(buffer_id)
         pages = np.flatnonzero(src_state.resident)
-        if table.is_registered(buffer_id):
-            pages = pages[~table.buffer(buffer_id).resident[pages]]
+        if state is not None:
+            pages = pages[~state.resident[pages]]
         if len(pages) == 0:
             return 0.0, 0
         if len(pages) > table.capacity_pages:

@@ -308,7 +308,9 @@ class DevicePageTable:
         """Set one buffer's pages to a uniform state in O(slice) time.
 
         The pricing memo applies a recorded launch's all-or-nothing
-        residency transition without walking page sets:
+        residency transition without walking page sets, and the
+        migration engine a whole-buffer sweep of a buffer with every
+        page resident or none:
         full admission stamps every page with one clock value and one
         access-count delta — exactly what ``touch`` + ``admit`` over a
         full-coverage page set would have produced.  ``resident=None``
@@ -370,15 +372,18 @@ class DevicePageTable:
         # element for element the per-buffer concatenation, so ties
         # between equal clocks break exactly as they would per buffer.
         candidates = np.flatnonzero(self._resident[:self._used])
+        pools = (candidates,)
         lo = self._offsets.get(protect)
-        if lo is None:
-            pools = (candidates,)
-        else:
-            # Two rounds: everything except the protected buffer, then it.
-            a, b = np.searchsorted(
-                candidates, (lo, lo + self._buffers[protect].n_pages))
-            pools = (np.concatenate((candidates[:a], candidates[b:])),
-                     candidates[a:b])
+        if lo is not None:
+            hi = lo + self._buffers[protect].n_pages
+            # A protected buffer with no resident page splits off an empty
+            # pool: the candidates stay as they are.
+            if np.count_nonzero(self._resident[lo:hi]):
+                # Two rounds: everything except the protected buffer,
+                # then it.
+                a, b = np.searchsorted(candidates, (lo, hi))
+                pools = (np.concatenate((candidates[:a], candidates[b:])),
+                         candidates[a:b])
 
         remaining = n_pages
         evicted = dirty = 0

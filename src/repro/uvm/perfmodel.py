@@ -89,7 +89,7 @@ def _seed_free(access: ArrayAccess, page_size: int) -> bool:
     pattern, and STRIDED never consults the seed; only partial SEQUENTIAL
     (rotating window) and partial RANDOM (seeded sample) vary per launch.
     """
-    if access.pattern is AccessPattern.STRIDED:
+    if access.fraction >= 1.0 or access.pattern is AccessPattern.STRIDED:
         return True
     total = pages_for_bytes(access.buffer.nbytes, page_size)
     return touched_page_count(access, page_size) >= total
