@@ -283,25 +283,31 @@ class RuntimeConfig:
                       cluster: object | None = None):
         """Construct the configured runtime, fault plan armed.
 
-        ``mode == "grcuda"`` returns the single-node baseline;
-        ``"grout"`` builds the cluster (unless one is passed in), the
-        policy (``workload`` feeds ``vector-step``) and the distributed
-        runtime.  ``footprint_bytes`` sizes the adaptive UVM granule when
+        ``mode == "grcuda"`` returns the single-node baseline: one node
+        of ``gpus_per_worker`` GPUs (``gpu_spec``) with up to
+        ``max_streams_per_gpu`` streams each; faults, chunking,
+        collectives, the plan cache and shards are refused.  ``"grout"``
+        builds the cluster (unless one is passed in), the policy
+        (``workload`` feeds ``vector-step``) and the distributed runtime.
+        ``footprint_bytes`` sizes the adaptive UVM granule when
         ``page_size`` is unset.
         """
         if self.mode == "grcuda":
             if self.faults is not None:
                 raise ValueError("fault injection requires mode='grout'")
             if self.chunk_bytes is not None or self.collectives \
-                    or self.plan_cache:
-                raise ValueError("chunk_bytes/collectives/plan_cache "
+                    or self.plan_cache or self.shards is not None:
+                raise ValueError("chunk_bytes/collectives/plan_cache/shards "
                                  "require mode='grout'")
+            from repro.cluster.node import PAPER_WORKER
             from repro.core.grcuda import GrCudaRuntime
-            page_size = self.page_size
-            if page_size is None and footprint_bytes is not None:
-                page_size = page_size_for(footprint_bytes)
-            return GrCudaRuntime(page_size=page_size, seed=self.seed,
-                                 uvm_backend=self.uvm_backend)
+            # The one node takes the knobs a grout worker node takes.
+            kwargs = self.cluster_kwargs(footprint_bytes)
+            node = dataclasses.replace(
+                PAPER_WORKER, n_gpus=kwargs.pop("gpus_per_worker"))
+            return GrCudaRuntime(
+                spec=node, max_streams_per_gpu=self.max_streams_per_gpu,
+                **kwargs)
         from repro.core.runtime import GroutRuntime
         if cluster is None:
             cluster = self.build_cluster(footprint_bytes)

@@ -9,7 +9,7 @@ import pytest
 from repro.core import RuntimeConfig, RoundRobinPolicy
 from repro.core.config import page_size_for
 from repro.core.policies import ExplorationLevel
-from repro.gpu.specs import MIB
+from repro.gpu.specs import MIB, TEST_GPU_1GB, V100_16GB
 from repro.sim import FaultPlan
 from repro.workloads import make_workload
 
@@ -155,6 +155,18 @@ class TestBuildRuntime:
             footprint_bytes=64 * MIB)
         try:
             assert type(rt).__name__ == "GrCudaRuntime"
+            assert [g.spec.name for g in rt.node.gpus] \
+                == [V100_16GB.name] * 2
+            assert rt.scheduler.max_streams_per_gpu == 4
+        finally:
+            rt.shutdown()
+        # The node knobs reach the single-node runtime too.
+        rt = RuntimeConfig(mode="grcuda", gpu_spec="TEST_GPU_1GB",
+                           gpus_per_worker=1,
+                           max_streams_per_gpu=1).build_runtime()
+        try:
+            assert [g.spec for g in rt.node.gpus] == [TEST_GPU_1GB]
+            assert rt.scheduler.max_streams_per_gpu == 1
         finally:
             rt.shutdown()
         with pytest.raises(ValueError, match="grout"):
@@ -163,6 +175,8 @@ class TestBuildRuntime:
         with pytest.raises(ValueError, match="grout"):
             RuntimeConfig(mode="grcuda",
                           chunk_bytes=MIB).build_runtime()
+        with pytest.raises(ValueError, match="grout"):
+            RuntimeConfig(mode="grcuda", shards=2).build_runtime()
 
     def test_plan_cache_knob_builds_the_cache(self):
         rt = RuntimeConfig(policy="round-robin",
