@@ -32,6 +32,7 @@ allocates nothing but the queue tuple.
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
 from typing import Callable, Iterable
 
@@ -39,6 +40,13 @@ from repro.sim.errors import SimError
 from repro.sim.events import AllOf, Event, EventState, Timeout
 
 _PROCESSED = EventState.PROCESSED
+_INF = float("inf")
+
+#: The delivery loop's bounds when a run has none: no delivery limit, and
+#: a stop event nobody triggers, so it is never processed (no engine owns
+#: it).
+_UNLIMITED = sys.maxsize
+_NO_STOP = Event(None, name="no-stop")  # type: ignore[arg-type]
 
 #: Upper bound on the ``_Call`` free-list — enough to absorb the burstiest
 #: same-timestamp fan-out seen in practice while keeping the pool O(1).
@@ -185,7 +193,7 @@ class Engine:
         self._clean_head()
         if self._ready:
             return self._now
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else _INF
 
     def drain(self) -> int:
         """Discard every queued delivery without running it (teardown).
@@ -199,83 +207,32 @@ class Engine:
         ``events_processed`` are left untouched; returns the number of
         deliveries dropped.
         """
-        dropped = len(self._ready) + len(self._queue)
+        dropped = self.queued
         self._ready.clear()
         self._queue.clear()
         self._free.clear()
         return dropped
 
-    def step(self) -> None:
-        """Process exactly one delivery; raise :class:`SimError` when empty.
+    def _deliver(self, limit: int, stop: Event, horizon: float) -> int:
+        """Deliver in ``(when, seq)`` order; return how many deliveries ran.
 
+        The engine's one delivery loop.  It stops once ``limit``
+        deliveries ran, ``stop`` is processed, the queue drains, or the
+        next delivery lies past ``horizon``; the clock then parks at
+        ``horizon`` — even when the head is a cancelled entry, so a
+        horizon-bounded run always ends there while work remains.
         Cancelled entries (a neutralized watchdog :class:`Timeout`) are
-        skipped without advancing the clock — they count as no delivery
-        at all, exactly like in :meth:`run`.
+        skipped without advancing the clock and count as no delivery.
+        Callers enter the loop once per call, never once per delivery:
+        at millions of deliveries the call overhead alone dominates.
         """
-        ready = self._ready
-        queue = self._queue
-        pop = heapq.heappop
-        now = self._now
-        while True:
-            if ready:
-                if queue and queue[0][0] <= now and queue[0][1] < ready[0][0]:
-                    when, _seq, item = pop(queue)
-                else:
-                    when = now
-                    item = ready.popleft()[1]
-            elif queue:
-                when, _seq, item = pop(queue)
-                if when < now:  # pragma: no cover - guarded by _schedule
-                    raise SimError("event scheduled in the past")
-            else:
-                raise SimError("step() on an empty event queue")
-            if type(item) is _Call:
-                self._now = when
-                self._processed += 1
-                fn, arg = item.fn, item.arg
-                item.fn = item.arg = None
-                free = self._free
-                if len(free) < _FREE_LIST_CAP:
-                    free.append(item)
-                fn(arg)
-                return
-            if item._state is _PROCESSED:
-                continue  # cancelled while queued: skip, clock untouched
-            self._now = when
-            self._processed += 1
-            callbacks, item.callbacks = item.callbacks, []
-            item._mark_processed()
-            for callback in callbacks:
-                if callback is not None:
-                    callback(item)
-            # Unhandled failures abort the simulation loudly rather than
-            # being silently dropped: a failed event nobody waited on is a
-            # logic bug.  Reads `_ok` directly, exactly like the inlined
-            # loops in run(): a subclass overriding the `ok` property
-            # would silently diverge between step() and run() otherwise.
-            if not item._ok and not item._defused:
-                raise item.value  # type: ignore[misc]
-            return
-
-    def run_steps(self, limit: int) -> int:
-        """Process up to ``limit`` deliveries; return how many ran.
-
-        The serve pump's quantum primitive: one bounded call replaces a
-        per-delivery ``peek()``/``step()`` pair.  Inlines the same loop
-        as :meth:`run` — same merge rule, same cancelled-entry skip
-        (skips do not count toward the limit, matching
-        :attr:`events_processed`), same unhandled-failure abort — and
-        stops early when the queue drains.
-        """
-        if limit < 0:
-            raise ValueError(f"negative step limit: {limit}")
         ready = self._ready
         queue = self._queue
         pop = heapq.heappop
         free = self._free
         steps = 0
         now = self._now
-        while steps < limit and (ready or queue):
+        while steps < limit and stop._state is not _PROCESSED:
             if ready:
                 if (queue and queue[0][0] <= now
                         and queue[0][1] < ready[0][0]):
@@ -283,10 +240,15 @@ class Engine:
                 else:
                     when = now
                     item = ready.popleft()[1]
-            else:
+            elif queue:
+                if queue[0][0] > horizon:
+                    self._now = horizon
+                    break
                 when, _seq, item = pop(queue)
                 if when < now:  # pragma: no cover - _schedule guard
                     raise SimError("event scheduled in the past")
+            else:
+                break
             if type(item) is _Call:
                 self._now = now = when
                 self._processed += 1
@@ -307,9 +269,33 @@ class Engine:
             for callback in callbacks:
                 if callback is not None:
                     callback(item)
+            # Unhandled failures abort the simulation loudly rather than
+            # being silently dropped: a failed event nobody waited on is a
+            # logic bug.
             if not item._ok and not item._defused:
                 raise item.value  # type: ignore[misc]
         return steps
+
+    def step(self) -> None:
+        """Process exactly one delivery; raise :class:`SimError` when empty.
+
+        Cancelled entries on the way are skipped without advancing the
+        clock, exactly like in :meth:`run`.
+        """
+        if not self._deliver(1, _NO_STOP, _INF):
+            raise SimError("step() on an empty event queue")
+
+    def run_steps(self, limit: int) -> int:
+        """Process up to ``limit`` deliveries; return how many ran.
+
+        The serve pump's quantum primitive: one bounded call replaces a
+        per-delivery ``peek()``/``step()`` pair.  Cancelled entries are
+        skipped without counting toward the limit, matching
+        :attr:`events_processed`; stops early when the queue drains.
+        """
+        if limit < 0:
+            raise ValueError(f"negative step limit: {limit}")
+        return self._deliver(limit, _NO_STOP, _INF)
 
     def run(self, until: float | Event | None = None) -> object:
         """Run until the queue drains, a time is reached, or an event fires.
@@ -321,112 +307,29 @@ class Engine:
             it; an :class:`Event` — stop once it is processed and return its
             value.
         """
-        # Both loops below inline the body of :meth:`step` — the engine's
-        # hottest code by a wide margin at million-event scale.  Keep the
-        # semantics in lockstep with step(): same merge rule, same
-        # cancelled-entry skip, same callback swap, same unhandled-failure
-        # abort.
-        ready = self._ready
-        queue = self._queue
-        pop = heapq.heappop
-        free = self._free
         if isinstance(until, Event):
-            # Poll the stop event between steps rather than stopping from a
-            # callback: raising out of the callback loop would silently drop
-            # the event's remaining callbacks.
-            stop_event = until
-            now = self._now
-            while stop_event._state is not _PROCESSED and (ready or queue):
-                if ready:
-                    if (queue and queue[0][0] <= now
-                            and queue[0][1] < ready[0][0]):
-                        when, _seq, item = pop(queue)
-                    else:
-                        when = now
-                        item = ready.popleft()[1]
-                else:
-                    when, _seq, item = pop(queue)
-                    if when < now:  # pragma: no cover - _schedule guard
-                        raise SimError("event scheduled in the past")
-                if type(item) is _Call:
-                    self._now = now = when
-                    self._processed += 1
-                    fn, arg = item.fn, item.arg
-                    item.fn = item.arg = None
-                    if len(free) < _FREE_LIST_CAP:
-                        free.append(item)
-                    fn(arg)
-                    continue
-                if item._state is _PROCESSED:
-                    continue  # cancelled while queued
-                self._now = now = when
-                self._processed += 1
-                callbacks, item.callbacks = item.callbacks, []
-                item._mark_processed()
-                for callback in callbacks:
-                    if callback is not None:
-                        callback(item)
-                if not item._ok and not item._defused:
-                    raise item.value  # type: ignore[misc]
-            if not stop_event.processed:
+            # The loop polls the stop event between deliveries rather than
+            # stopping from a callback: raising out of the callback loop
+            # would silently drop the event's remaining callbacks.
+            self._deliver(_UNLIMITED, until, _INF)
+            if not until.processed:
                 raise SimError(
-                    f"run(until={stop_event!r}) drained the queue before "
+                    f"run(until={until!r}) drained the queue before "
                     "the event fired — deadlock or missing trigger")
-            return stop_event.value
-
-        horizon = float("inf")
+            return until.value
+        horizon = _INF
         if until is not None:
             horizon = float(until)
             if horizon < self._now:
                 raise ValueError(
                     f"until={horizon} lies in the past (now={self._now})")
-        now = self._now
-        while ready or queue:
-            if ready:
-                if (queue and queue[0][0] <= now
-                        and queue[0][1] < ready[0][0]):
-                    when, _seq, item = pop(queue)
-                else:
-                    when = now
-                    item = ready.popleft()[1]
-            else:
-                when = queue[0][0]
-                if when > horizon:
-                    # Pending work beyond the horizon: stop exactly at it.
-                    # A cancelled head still parks the clock at the horizon
-                    # — horizon mode always ends there when work remains.
-                    self._now = horizon
-                    return None
-                when, _seq, item = pop(queue)
-                if when < now:  # pragma: no cover - _schedule guard
-                    raise SimError("event scheduled in the past")
-            if type(item) is _Call:
-                self._now = now = when
-                self._processed += 1
-                fn, arg = item.fn, item.arg
-                item.fn = item.arg = None
-                if len(free) < _FREE_LIST_CAP:
-                    free.append(item)
-                fn(arg)
-                continue
-            if item._state is _PROCESSED:
-                continue  # cancelled while queued: skip, clock untouched
-            self._now = now = when
-            self._processed += 1
-            callbacks, item.callbacks = item.callbacks, []
-            item._mark_processed()
-            for callback in callbacks:
-                if callback is not None:
-                    callback(item)
-            if not item._ok and not item._defused:
-                raise item.value  # type: ignore[misc]
         # NB: when the queue drains *before* the horizon the clock is left
         # at the last delivered event — callers measuring elapsed time rely
         # on that, and it is exactly why cancelled entries must not advance
         # the clock (a stale watchdog used to drag the drain end-time out
         # to its timeout horizon).
+        self._deliver(_UNLIMITED, _NO_STOP, horizon)
         return None
 
     def __repr__(self) -> str:
-        queued = len(self._queue) + len(self._ready)
-        return f"<Engine t={self._now:.6g} queued={queued}>"
+        return f"<Engine t={self._now:.6g} queued={self.queued}>"

@@ -58,6 +58,18 @@ class TestTieBreaking:
         engine.run()
         assert order == [0, 1, 2, 3, 4]
 
+    def test_due_heap_entry_precedes_later_zero_delay_entry(self, engine):
+        # Both lanes hold work at t=1: the heap's timeout was scheduled
+        # first (lower seq), so it runs before the zero-delay call the
+        # first delivery queued — deliveries follow (when, seq).
+        order = []
+        first = engine.timeout(1.0)
+        engine.timeout(1.0).callbacks.append(lambda ev: order.append("heap"))
+        first.callbacks.append(
+            lambda ev: engine.schedule_call(0.0, order.append, "ready"))
+        engine.run()
+        assert order == ["heap", "ready"]
+
     def test_determinism_across_runs(self):
         def run_once():
             engine = Engine()

@@ -1,13 +1,14 @@
-"""Differential test: ``Engine.run()`` vs repeated ``Engine.step()``.
+"""Differential test: ``Engine.run()`` vs ``step()`` vs ``run_steps()``.
 
-``run()`` inlines the body of ``step()`` twice (the event-bounded and the
-horizon-bounded loops) because it is the hottest code in the repository.
-Inlining invites drift — the loops once read ``event._ok`` while ``step()``
-read the ``event.ok`` property — so this test drives *identical* randomized
-workloads through both entry points and asserts the observable outcome is
-bit-for-bit the same: the sequence of (time, label, ok) deliveries, the
-final clock, and ``events_processed``.  Failure and defuse handling are
-exercised explicitly, including the unhandled-failure abort.
+All three enter the engine's one delivery loop and differ only in how
+they bound it: ``run()`` by a stop event or a horizon, ``step()`` by one
+delivery, ``run_steps()`` by a delivery count.  This test drives
+*identical* randomized workloads through every entry point and asserts
+the observable outcome is bit-for-bit the same: the sequence of (time,
+label, ok) deliveries, the final clock, and ``events_processed`` — which
+the counts ``run_steps()`` returns must add up to, so a skipped cancelled
+entry never counts.  Failure and defuse handling are exercised
+explicitly, including the unhandled-failure abort.
 
 Workloads are written as generators, driven by the small reference
 driver in :mod:`tests.sim.genproc`.
@@ -30,8 +31,8 @@ def _build_workload(engine: Engine, seed: int, trace: list) -> None:
 
     Every created event gets a tracing callback appended *first*, so the
     trace records the exact delivery order the engine chose.  The same
-    (engine-independent) random stream drives construction on both the
-    run() engine and the step() engine.
+    (engine-independent) random stream drives construction on every
+    engine, whichever entry point then drives it.
     """
     rng = random.Random(seed)
 
@@ -169,14 +170,44 @@ def _drive_with_step(seed: int):
     return engine, trace
 
 
+def _run_in_chunks(engine: Engine, seed: int) -> list[int]:
+    """Call ``run_steps`` with random limits until it returns 0; return
+    every count it returned."""
+    rng = random.Random(seed)
+    counts = []
+    while True:
+        counts.append(engine.run_steps(rng.randint(1, 7)))
+        if not counts[-1]:
+            return counts
+
+
+def _drive_with_run_steps(seed: int):
+    engine, trace = Engine(), []
+    _build_workload(engine, seed, trace)
+    counts = _run_in_chunks(engine, seed)
+    return engine, trace, counts
+
+
 class TestRunStepDifferential:
     def test_identical_timelines(self):
         for seed in range(20):
             run_eng, run_trace = _drive_with_run(seed)
             step_eng, step_trace = _drive_with_step(seed)
-            assert run_trace == step_trace, f"seed {seed} diverged"
-            assert run_eng.now == step_eng.now
-            assert run_eng.events_processed == step_eng.events_processed
+            chunk_eng, chunk_trace, counts = _drive_with_run_steps(seed)
+            assert run_trace == step_trace == chunk_trace, \
+                f"seed {seed} diverged"
+            assert run_eng.now == step_eng.now == chunk_eng.now
+            assert (run_eng.events_processed == step_eng.events_processed
+                    == chunk_eng.events_processed == sum(counts))
+
+    def test_run_steps_rejects_negative_limit(self):
+        engine = Engine()
+        engine.timeout(1.0)
+        with pytest.raises(ValueError, match="negative"):
+            engine.run_steps(-1)
+        assert engine.run_steps(0) == 0
+        assert (engine.now, engine.events_processed, engine.queued) \
+            == (0.0, 0, 1)
 
     def test_run_until_event_matches_stepping(self):
         for seed in (3, 7, 11):
@@ -216,9 +247,15 @@ class TestRunStepDifferential:
             while eng2.peek() != float("inf"):
                 eng2.step()
 
-        assert trace1 == trace2
-        assert eng1.now == eng2.now == 1.0
-        assert eng1.events_processed == eng2.events_processed
+        eng3, trace3 = Engine(), []
+        build(eng3, trace3)
+        with pytest.raises(ValueError, match="boom"):
+            _run_in_chunks(eng3, 0)
+
+        assert trace1 == trace2 == trace3
+        assert eng1.now == eng2.now == eng3.now == 1.0
+        assert (eng1.events_processed == eng2.events_processed
+                == eng3.events_processed)
 
     def test_defused_failure_continues_identically(self):
         def build(engine, trace):
@@ -400,9 +437,14 @@ class TestFastVsGeneratorDifferential:
             while eng2.peek() != float("inf"):
                 eng2.step()
 
-            assert trace1 == trace2, f"seed {seed} diverged"
-            assert eng1.now == eng2.now
-            assert eng1.events_processed == eng2.events_processed
+            eng3, trace3 = Engine(), []
+            self._build_mixed_workload(eng3, seed, trace3)
+            counts = _run_in_chunks(eng3, seed)
+
+            assert trace1 == trace2 == trace3, f"seed {seed} diverged"
+            assert eng1.now == eng2.now == eng3.now
+            assert (eng1.events_processed == eng2.events_processed
+                    == eng3.events_processed == sum(counts))
 
 
 class TestCallFreeList:
