@@ -29,7 +29,7 @@ from repro.cluster.cluster import Cluster
 from repro.obs import CeProfiler, MetricsRegistry, RunningAggregate
 from repro.obs import install as install_metrics
 from repro.sim import Event, SimError
-from repro.core.arrays import Directory, ManagedArray
+from repro.core.arrays import Directory
 from repro.core.ce import ComputationalElement
 from repro.core.dag import DependencyDag
 from repro.core.intranode import IntraNodeScheduler, _ce_completed
@@ -493,18 +493,6 @@ class Controller:
         # The re-assignment charged the survivor; credit it on the same
         # (forwarded) done event the original schedule used.
         self.policy.notify_scheduled(ce)
-
-    # -- compatibility delegates (the stages own the implementations) -------------
-
-    def _ensure_on_node(self, array: ManagedArray, node_name: str,
-                        reexec_of: ComputationalElement | None = None,
-                        for_ce: ComputationalElement | None = None
-                        ) -> Event | None:
-        """Delegate to the data-movement stage (kept for the planner and
-        older callers; new code should reach the stage directly)."""
-        mover: DataMovementStage = self.pipeline.stage("data-movement")
-        return mover.ensure_on_node(array, node_name,
-                                    reexec_of=reexec_of, for_ce=for_ce)
 
     # -- draining ------------------------------------------------------------------
 

@@ -174,10 +174,9 @@ class _Instrument:
         """Recorded ``(time, value)`` samples (decimated, chronological)."""
         return list(self._series)
 
-    def _mark(self) -> None:
-        # Kept as the one canonical description of series recording; the
-        # instrument hot paths (Counter.inc, Gauge.set/inc) inline this
-        # body to spare a method call per update.
+    def _record(self, value: float) -> None:
+        """Set the value and add it to the series (caller holds the lock)."""
+        self._value = value
         shared = self._shared
         clock = shared.clock
         if clock is None:
@@ -189,9 +188,9 @@ class _Instrument:
             # bump an instrument thousands of times at one simulated
             # instant, and exporters only ever need the settled value per
             # time point.  Keeps the series short and decimation rare.
-            series[-1] = (now, self._value)
+            series[-1] = (now, value)
             return
-        series.append((now, self._value))
+        series.append((now, value))
         if len(series) > shared.series_capacity:
             # Keep the first and last points exact, thin the middle.
             self._series = series[:1] + series[1:-1:2] + series[-1:]
@@ -206,21 +205,8 @@ class Counter(_Instrument):
         """Add ``amount`` (must be >= 0) to the counter."""
         if amount < 0:
             raise MetricError("counters only go up; use a gauge")
-        shared = self._shared
-        with shared.lock:
-            value = self._value = self._value + amount
-            clock = shared.clock
-            if clock is None:
-                return
-            now = clock()
-            series = self._series
-            if series and series[-1][0] == now:
-                series[-1] = (now, value)
-            else:
-                series.append((now, value))
-                if len(series) > shared.series_capacity:
-                    self._series = (series[:1] + series[1:-1:2]
-                                    + series[-1:])
+        with self._shared.lock:
+            self._record(self._value + amount)
 
 
 class Gauge(_Instrument):
@@ -230,39 +216,13 @@ class Gauge(_Instrument):
 
     def set(self, value: float) -> None:
         """Replace the gauge's value."""
-        shared = self._shared
-        with shared.lock:
-            value = self._value = float(value)
-            clock = shared.clock
-            if clock is None:
-                return
-            now = clock()
-            series = self._series
-            if series and series[-1][0] == now:
-                series[-1] = (now, value)
-            else:
-                series.append((now, value))
-                if len(series) > shared.series_capacity:
-                    self._series = (series[:1] + series[1:-1:2]
-                                    + series[-1:])
+        with self._shared.lock:
+            self._record(float(value))
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (may be negative) to the gauge."""
-        shared = self._shared
-        with shared.lock:
-            value = self._value = self._value + amount
-            clock = shared.clock
-            if clock is None:
-                return
-            now = clock()
-            series = self._series
-            if series and series[-1][0] == now:
-                series[-1] = (now, value)
-            else:
-                series.append((now, value))
-                if len(series) > shared.series_capacity:
-                    self._series = (series[:1] + series[1:-1:2]
-                                    + series[-1:])
+        with self._shared.lock:
+            self._record(self._value + amount)
 
     def dec(self, amount: float = 1.0) -> None:
         """Subtract ``amount`` from the gauge."""
