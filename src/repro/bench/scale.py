@@ -14,7 +14,7 @@ Three DAG shapes cover the regimes long-horizon runtimes meet:
     wide wave of reader kernels — stresses per-buffer reader sets and
     the WAR frontier scan.
 ``deep``
-    A single read-modify-write chain — stresses ancestor-set
+    A single read-modify-write chain — stresses ancestor-mask
     maintenance, prune cadence and the P2P data-movement path.
 ``iterative``
     A CG-shaped loop over a fixed buffer set with periodic host reads —

@@ -21,12 +21,17 @@ Random workload streams (mixed read/write/update CEs over a small buffer
 pool) are interleaved with prunes under several completion patterns, and
 every public observable — returned parents, frontier, ancestors,
 children, pending accessors, sizes — must match exactly, across multiple
-independent sessions.
+independent sessions.  After every operation :class:`SlotAudit` also
+checks the frontier slots behind the DAG's ancestor masks, and
+:class:`TestSlotReuse` reruns every stream with the slot sweep at its
+floor, so slots are parked, swept and handed out again many times.
 """
 
 from __future__ import annotations
 
 import random
+
+import pytest
 
 from repro.core import DependencyDag, ManagedArray
 from repro.core.ce import CeKind, ComputationalElement
@@ -185,6 +190,76 @@ def _ce(accesses):
         kernel=KernelSpec("k"), config=LaunchConfig((1,), (32,)))
 
 
+#: The lowest ``DependencyDag.SLOT_SWEEP_MIN`` that still needs a parked
+#: slot to sweep: with it, a sweep runs once |F| slots are parked.
+SWEEP_FLOOR = 1
+
+
+class SlotAudit:
+    """The invariants that keep ``DependencyDag``'s ancestor masks exact
+    while frontier slots are reused, checked after every operation:
+
+    * every frontier member holds a slot of its own, and every slot below
+      ``_slot_end`` is exactly one of held, parked or free;
+    * a node out of the frontier holds no slot and an empty mask;
+    * no live mask holds the bit of a free slot (a parked bit may linger:
+      no frontier member holds that slot);
+    * fewer than ``max(|F|, SLOT_SWEEP_MIN)`` slots are parked; and
+    * every slot is under ``2·peak|F| + SLOT_SWEEP_MIN + TAKES``.
+
+    The bound: an operation starts with ``|F| + parked`` slots in use,
+    fewer than ``2·|F| + SLOT_SWEEP_MIN``; it takes one slot for its CE
+    and one per sealed buffer before it settles departures, and a
+    never-used slot goes out only when none is free.
+    """
+
+    #: An insert takes at most one slot more than its CE has accesses;
+    #: these streams use at most three accesses per CE.
+    TAKES = 3
+
+    def __init__(self, dag: DependencyDag):
+        self.dag = dag
+        self.peak = 0
+        #: slot -> the last node seen holding it, to count reuses.
+        self.owner: dict[int, int] = {}
+        self.reuses = 0
+
+    def check(self) -> None:
+        dag = self.dag
+        live = dag._frontier_count
+        held = {}
+        for cid, info in dag._info.items():
+            if cid in live:
+                assert info.slot >= 0, f"frontier node {cid} has no slot"
+                assert info.slot not in held, f"slot {info.slot} shared"
+                held[info.slot] = cid
+            else:
+                assert info.slot == -1 and info.mask == 0, (
+                    f"node {cid} left the frontier but kept its slot/mask")
+        assert len(held) == len(live)
+        parked, free = set(dag._parked_slots), set(dag._free_slots)
+        assert len(parked) == len(dag._parked_slots)
+        assert len(free) == len(dag._free_slots)
+        assert not (parked & free) and not (held.keys() & (parked | free))
+        assert held.keys() | parked | free == set(range(dag._slot_end))
+        free_bits = 0
+        for slot in free:
+            free_bits |= 1 << slot
+        for cid in live:
+            stale = dag._info[cid].mask & free_bits
+            assert not stale, (
+                f"node {cid}'s mask holds free slots "
+                f"{[s for s in free if stale >> s & 1]}")
+        floor = dag.SLOT_SWEEP_MIN
+        assert len(parked) < max(len(live), floor)
+        self.peak = max(self.peak, len(live))
+        assert dag._slot_end <= 2 * self.peak + floor + self.TAKES
+        for slot, cid in held.items():
+            if self.owner.get(slot, cid) != cid:
+                self.reuses += 1
+            self.owner[slot] = cid
+
+
 def assert_equivalent(dag: DependencyDag, ref: NaiveDag, live):
     assert dag.size == ref.size
     assert dag.edge_count() == ref.edge_count()
@@ -210,6 +285,7 @@ class TestDifferential:
         rng = random.Random(seed)
         arrays = [ManagedArray(4) for _ in range(n_buffers)]
         dag, ref = DependencyDag(), NaiveDag()
+        audit = SlotAudit(dag)
         live = []
         done_ids = set()
         for step in range(n_ces):
@@ -230,6 +306,8 @@ class TestDifferential:
                 assert removed == removed_ref
                 live = [ce for ce in live if ce.ce_id in ref.nodes_by_id]
             assert_equivalent(dag, ref, live)
+            audit.check()
+        return audit
 
     def test_random_streams_match_reference(self):
         for seed in range(12):
@@ -249,6 +327,7 @@ class TestDifferential:
             rng = random.Random(1000 + seed)
             arrays = [ManagedArray(4) for _ in range(4)]
             dag, ref = DependencyDag(), NaiveDag()
+            audit = SlotAudit(dag)
             live, done_ids = [], set()
             for step in range(150):
                 maker = make_rw_ce if rng.random() < 0.5 else make_ce
@@ -267,6 +346,7 @@ class TestDifferential:
                         ref.prune_completed(lambda c: c.ce_id in done_ids)
                     live = [c for c in live if c.ce_id in ref.nodes_by_id]
                 assert_equivalent(dag, ref, live)
+                audit.check()
 
     def test_write_heavy_chains(self):
         """INOUT-only chains: the regime where bounded ancestor sets pay
@@ -274,6 +354,7 @@ class TestDifferential:
         rng = random.Random(7)
         a = ManagedArray(4)
         dag, ref = DependencyDag(), NaiveDag()
+        audit = SlotAudit(dag)
         live, done_ids = [], set()
         for i in range(200):
             ce = ComputationalElement(
@@ -290,4 +371,23 @@ class TestDifferential:
                     == ref.prune_completed(lambda c: c.ce_id in done_ids)
                 live = [ce for ce in live if ce.ce_id in ref.nodes_by_id]
             assert_equivalent(dag, ref, live)
+            audit.check()
         assert dag.size <= 12
+
+
+class TestSlotReuse(TestDifferential):
+    """Every differential stream again with the slot sweep at its floor:
+    a sweep runs as soon as |F| slots are parked, so each stream parks,
+    frees and hands out slots again many times, under the same exact
+    equality with :class:`NaiveDag` and the same :class:`SlotAudit`."""
+
+    @pytest.fixture(autouse=True)
+    def _sweep_floor(self, monkeypatch):
+        monkeypatch.setattr(DependencyDag, "SLOT_SWEEP_MIN", SWEEP_FLOOR)
+
+    def test_streams_reuse_slots(self):
+        for seed in range(4):
+            audit = self._run_session(seed)
+            assert audit.reuses >= 5 * audit.dag._slot_end, (
+                f"seed {seed}: {audit.reuses} reuses of "
+                f"{audit.dag._slot_end} slots")
