@@ -7,6 +7,7 @@ regression harness for the scheduler-overhead claims of Fig. 9.
 """
 
 import gc
+import os
 
 import numpy as np
 
@@ -32,12 +33,17 @@ from repro.uvm import DevicePageTable, UvmSpace
 
 SPEC = TEST_GPU_1GB.with_page_size(1 * MIB)
 
+QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
+
+
+def _ce(*accesses):
+    return ComputationalElement(
+        kind=CeKind.KERNEL, accesses=accesses,
+        kernel=KernelSpec("k"), config=LaunchConfig((1,), (32,)))
+
 
 def _chain_ce(array):
-    return ComputationalElement(
-        kind=CeKind.KERNEL,
-        accesses=(ArrayAccess(array, Direction.INOUT),),
-        kernel=KernelSpec("k"), config=LaunchConfig((1,), (32,)))
+    return _ce(ArrayAccess(array, Direction.INOUT))
 
 
 def test_micro_dag_insertion_chain(benchmark):
@@ -75,6 +81,59 @@ def test_micro_dag_insertion_wide(benchmark):
             dag.prune_completed(lambda ce: True)
 
     benchmark(insert)
+
+
+def _cg_stream(chunks: int = 32, iterations: int = 20) -> list:
+    """The CE stream of ``cg``'s build and run (``repro.workloads.cg``),
+    accesses only: per iteration a matvec and a partial dot per chunk,
+    then alpha, the x/r update, beta and the p update."""
+    IN, OUT, INOUT = Direction.IN, Direction.OUT, Direction.INOUT
+    a = [ManagedArray(4) for _ in range(chunks)]
+    ap = [ManagedArray(4) for _ in range(chunks)]
+    pap = [ManagedArray(4) for _ in range(chunks)]
+    x, r, p, alpha, rs_old, rs_new, beta = (ManagedArray(4)
+                                            for _ in range(7))
+    ces = [_ce(ArrayAccess(a_c, OUT)) for a_c in a]
+    ces.append(_ce(*(ArrayAccess(v, OUT) for v in (x, r, p, rs_old))))
+    for _ in range(iterations):
+        ces += [_ce(ArrayAccess(a[c], IN), ArrayAccess(p, IN),
+                    ArrayAccess(ap[c], OUT)) for c in range(chunks)]
+        ces += [_ce(ArrayAccess(p, IN), ArrayAccess(ap[c], IN),
+                    ArrayAccess(pap[c], OUT)) for c in range(chunks)]
+        ces.append(_ce(ArrayAccess(alpha, OUT), ArrayAccess(rs_old, IN),
+                       *(ArrayAccess(v, IN) for v in pap)))
+        ces.append(_ce(ArrayAccess(x, INOUT), ArrayAccess(r, INOUT),
+                       ArrayAccess(p, IN), ArrayAccess(alpha, IN),
+                       *(ArrayAccess(v, IN) for v in ap)))
+        ces.append(_ce(ArrayAccess(r, IN), ArrayAccess(rs_old, INOUT),
+                       ArrayAccess(rs_new, OUT), ArrayAccess(beta, OUT)))
+        ces.append(_ce(ArrayAccess(p, INOUT), ArrayAccess(r, IN),
+                       ArrayAccess(beta, IN)))
+    return ces
+
+
+def test_micro_dag_insertion_cg_frontier(benchmark):
+    """Per-CE cost of the DAG phase with a wide frontier that no prune
+    trims: ``cg`` at Fig. 7's sizes queues its whole stream before any
+    CE completes, and each chunk's matrix is read once per iteration
+    and never written again, so about 700 readers stay in the frontier.
+    Every round inserts the whole stream into a fresh DAG; the CEs are
+    built once, outside the rounds."""
+    ces = _cg_stream()
+    widths = []
+
+    def insert_stream():
+        dag = DependencyDag()
+        for ce in ces:
+            dag.add(ce)
+        widths.append(len(dag.frontier))
+
+    benchmark.pedantic(insert_stream, rounds=3 if QUICK else 20,
+                       iterations=1, warmup_rounds=1)
+    print(f"\ncg-shaped frontier ({widths[-1]} members after "
+          f"{len(ces):,} inserts): "
+          f"{benchmark.stats.stats.mean / len(ces) * 1e6:.1f} us per add")
+    assert widths[-1] >= 650
 
 
 def test_micro_pagetable_admit_evict_cycle(benchmark):
