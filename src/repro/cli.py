@@ -178,13 +178,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         return _cmd_run_sessions(args, footprint, config)
     if args.mode == "grcuda":
-        if config.faults is not None:
-            print("--faults requires --mode grout", file=sys.stderr)
-            return 2
-        if config.chunk_bytes is not None or config.collectives:
-            print("--chunk-bytes/--collectives require --mode grout",
-                  file=sys.stderr)
-            return 2
         result = run_single_node(args.workload, footprint, config=config,
                                  check=not args.no_verify,
                                  repeats=args.repeats)

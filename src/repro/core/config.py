@@ -9,6 +9,13 @@ parses into it (:meth:`from_args`), the serve daemon deserialises it
 (:meth:`from_dict`), benchmarks overlay it (:meth:`merge`), and all of
 them construct runtimes the same way (:meth:`build_runtime`).
 
+It is also the one place that decides what runs: every config checks
+:data:`REFUSALS` when built, so a refused knob value or combination
+raises ``ValueError`` before any cluster, engine or shard process
+exists.  Guards on operations no config can foresee (``install_faults``
+on a sharded runtime, say) stay with the operation and raise
+``SimError``.
+
 The defaults reproduce the paper configuration exactly — a
 ``RuntimeConfig()`` built runtime is schedule-identical to
 ``GroutRuntime(paper_cluster(2))``.
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.core.policies import ExplorationLevel, Policy
 from repro.gpu.specs import MIB
@@ -26,7 +33,7 @@ from repro.gpu.specs import MIB
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim import FaultPlan
 
-__all__ = ["RuntimeConfig", "page_size_for"]
+__all__ = ["RuntimeConfig", "REFUSALS", "page_size_for"]
 
 #: Modes a config can build.
 MODES = ("grout", "grcuda")
@@ -49,7 +56,7 @@ class RuntimeConfig:
     """One immutable record of every runtime-construction knob.
 
     Field groups mirror the layers they configure: the runtime/controller
-    pair (``policy`` .. ``prune_every``), the cluster under it
+    pair (``policy`` .. ``shard_window``), the cluster under it
     (``n_workers`` .. ``seed``) and the fault plan armed on top
     (``faults``/``replace_crashed``).  ``policy`` and ``gpu_spec`` accept
     either resolved objects or registry names, so configs stay
@@ -66,11 +73,9 @@ class RuntimeConfig:
     chunk_bytes: int | None = None
     collectives: bool = False
     fair_share_window: int = 32
-    prune_every: int = 256
     plan_cache: bool = False
     shards: int | None = None
     shard_window: float | None = None
-    shard_max_outstanding: int | None = None
 
     # -- cluster knobs ---------------------------------------------------------
     n_workers: int = 2
@@ -85,23 +90,9 @@ class RuntimeConfig:
     replace_crashed: bool = False
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, "
-                             f"got {self.mode!r}")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if self.gpus_per_worker < 1:
-            raise ValueError("gpus_per_worker must be >= 1")
-        if self.chunk_bytes is not None and self.chunk_bytes < 1:
-            raise ValueError("chunk_bytes must be >= 1")
-        if self.fair_share_window < 2:
-            raise ValueError("fair_share_window must be >= 2")
-        if self.prune_every < 1:
-            raise ValueError("prune_every must be >= 1")
-        if self.shards is not None and self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.page_size is not None and self.page_size < 1:
-            raise ValueError("page_size must be >= 1")
+        for refused, message in REFUSALS:
+            if refused(self):
+                raise ValueError(message.format(self))
 
     # -- construction from other shapes ----------------------------------------
 
@@ -114,10 +105,9 @@ class RuntimeConfig:
     def from_args(cls, args: object, **overrides: object) -> "RuntimeConfig":
         """Build from an ``argparse.Namespace`` (unknown attrs ignored).
 
-        The CLI spells two fields differently (``--workers`` →
-        ``n_workers``, ``--replace-crashed`` → ``replace_crashed``);
-        everything else maps by name.  Explicit ``overrides`` win over
-        namespace values.
+        The CLI spells one field differently (``--workers`` →
+        ``n_workers``); everything else maps by name.  Explicit
+        ``overrides`` win over namespace values.
         """
         picked: dict[str, object] = {}
         aliases = {"n_workers": "workers"}
@@ -252,26 +242,6 @@ class RuntimeConfig:
             kwargs["gpu_spec"] = spec
         return kwargs
 
-    def to_kwargs(self) -> dict[str, object]:
-        """Keyword arguments for ``GroutRuntime(cluster, policy=..., **kw)``.
-
-        Covers the runtime/controller knobs only — the cluster is built
-        separately (:meth:`build_cluster`) and the policy through
-        :meth:`build_policy`, so callers with a prebuilt cluster keep
-        full control.
-        """
-        return {
-            "max_streams_per_gpu": self.max_streams_per_gpu,
-            "chunk_bytes": self.chunk_bytes,
-            "collectives": self.collectives,
-            "fair_share_window": self.fair_share_window,
-            "prune_every": self.prune_every,
-            "plan_cache": self.plan_cache,
-            "shards": self.shards,
-            "shard_window": self.shard_window,
-            "shard_max_outstanding": self.shard_max_outstanding,
-        }
-
     def build_cluster(self, footprint_bytes: int | None = None):
         """A fresh :class:`~repro.cluster.Cluster` per this config."""
         from repro.cluster import paper_cluster
@@ -285,20 +255,13 @@ class RuntimeConfig:
 
         ``mode == "grcuda"`` returns the single-node baseline: one node
         of ``gpus_per_worker`` GPUs (``gpu_spec``) with up to
-        ``max_streams_per_gpu`` streams each; faults, chunking,
-        collectives, the plan cache and shards are refused.  ``"grout"``
-        builds the cluster (unless one is passed in), the policy
-        (``workload`` feeds ``vector-step``) and the distributed runtime.
-        ``footprint_bytes`` sizes the adaptive UVM granule when
-        ``page_size`` is unset.
+        ``max_streams_per_gpu`` streams each (:data:`GROUT_ONLY` knobs
+        were refused when the config was built).  ``"grout"`` builds the
+        cluster (unless one is passed in), the policy (``workload`` feeds
+        ``vector-step``) and the distributed runtime.  ``footprint_bytes``
+        sizes the adaptive UVM granule when ``page_size`` is unset.
         """
         if self.mode == "grcuda":
-            if self.faults is not None:
-                raise ValueError("fault injection requires mode='grout'")
-            if self.chunk_bytes is not None or self.collectives \
-                    or self.plan_cache or self.shards is not None:
-                raise ValueError("chunk_bytes/collectives/plan_cache/shards "
-                                 "require mode='grout'")
             from repro.cluster.node import PAPER_WORKER
             from repro.core.grcuda import GrCudaRuntime
             # The one node takes the knobs a grout worker node takes.
@@ -311,9 +274,9 @@ class RuntimeConfig:
         from repro.core.runtime import GroutRuntime
         if cluster is None:
             cluster = self.build_cluster(footprint_bytes)
-        runtime = GroutRuntime(cluster,
-                               policy=self.build_policy(workload),
-                               **self.to_kwargs())
+        runtime = GroutRuntime(
+            cluster, policy=self.build_policy(workload),
+            **{name: getattr(self, name) for name in RUNTIME_KNOBS})
         plan = self.fault_plan()
         if plan is not None:
             runtime.install_faults(
@@ -330,12 +293,13 @@ class RuntimeConfig:
         :meth:`from_args` reads the resulting namespace back.
         """
         from repro.uvm import DEFAULT_BACKEND, PAGING_BACKENDS
-        parser.add_argument("--workers", type=int, default=2,
-                            help="GrOUT worker count (default 2)")
+        parser.add_argument("--workers", type=int,
+                            default=_DEFAULTS["n_workers"],
+                            help="GrOUT worker count (default %(default)s)")
         parser.add_argument("--policy", default=default_policy,
                             help="any name from "
                                  "repro.core.available_policies()")
-        parser.add_argument("--level", default="medium",
+        parser.add_argument("--level", default=_DEFAULTS["level"],
                             choices=("low", "medium", "high"),
                             help="exploration level for online policies")
         parser.add_argument("--chunk-bytes", type=int, default=None,
@@ -352,10 +316,12 @@ class RuntimeConfig:
                             help="paging backend pricing UVM faults "
                                  "(default cpu-pme, the paper's "
                                  "CPU-driven page-migration engine)")
-        parser.add_argument("--fair-share-window", type=int, default=32,
+        parser.add_argument("--fair-share-window", type=int,
+                            default=_DEFAULTS["fair_share_window"],
                             metavar="N", dest="fair_share_window",
                             help="admission window interleaving "
-                                 "concurrent sessions (default 32)")
+                                 "concurrent sessions (default "
+                                 "%(default)s; grout only)")
         parser.add_argument("--plan-cache", action="store_true",
                             dest="plan_cache",
                             help="memoize per-session scheduling "
@@ -363,9 +329,69 @@ class RuntimeConfig:
                                  "repeated programs (default off)")
 
     def __repr__(self) -> str:
-        knobs = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value != f.default:
-                knobs.append(f"{f.name}={value!r}")
+        knobs = [f"{name}={getattr(self, name)!r}"
+                 for name, default in _DEFAULTS.items()
+                 if getattr(self, name) != default]
         return f"<RuntimeConfig {' '.join(knobs) or 'paper defaults'}>"
+
+
+#: The knobs ``GroutRuntime`` takes as keywords and its ``Controller``
+#: reads; the rest of a config is the cluster's or the builder's.
+RUNTIME_KNOBS = ("max_streams_per_gpu", "chunk_bytes", "collectives",
+                 "fair_share_window", "plan_cache", "shards",
+                 "shard_window")
+
+#: Knobs only the distributed runtime reads: ``mode="grcuda"`` refuses
+#: each one set away from its default.  ``policy``, ``level`` and
+#: ``n_workers`` mean nothing to the single node either, but they stay
+#: accepted: ``sweep`` and ``run_single_node`` build the GrCUDA side of
+#: a GrCUDA-vs-GrOUT comparison by merging ``mode="grcuda"`` into the
+#: comparison's shared config, which carries them.
+GROUT_ONLY = ("faults", "replace_crashed", "chunk_bytes", "collectives",
+              "plan_cache", "shards", "shard_window", "fair_share_window")
+
+_DEFAULTS = {f.name: f.default for f in fields(RuntimeConfig)}
+
+#: Every refused knob value and combination, as (condition, message);
+#: ``{0}`` in a message is the refused config.  The first row whose
+#: condition holds raises.
+REFUSALS: tuple[tuple[Callable[[RuntimeConfig], bool], str], ...] = (
+    # -- ranges
+    (lambda c: c.mode not in MODES,
+     f"mode must be one of {MODES}, got {{0.mode!r}}"),
+    (lambda c: c.n_workers < 1, "n_workers must be >= 1"),
+    (lambda c: c.gpus_per_worker < 1, "gpus_per_worker must be >= 1"),
+    (lambda c: c.chunk_bytes is not None and c.chunk_bytes < 1,
+     "chunk_bytes must be >= 1"),
+    (lambda c: c.fair_share_window < 2, "fair_share_window must be >= 2"),
+    (lambda c: c.shards is not None and c.shards < 1,
+     "shards must be >= 1"),
+    (lambda c: c.shard_window is not None and c.shard_window <= 0,
+     "shard_window must be > 0"),
+    (lambda c: c.page_size is not None and c.page_size < 1,
+     "page_size must be >= 1"),
+    # -- the single-node baseline
+    *((lambda c, name=name: c.mode == "grcuda"
+       and getattr(c, name) != _DEFAULTS[name],
+       f"{name} requires mode='grout'") for name in GROUT_ONLY),
+    # -- combinations
+    (lambda c: c.replace_crashed and c.faults is None,
+     "replace_crashed requires faults"),
+    (lambda c: c.shard_window is not None and c.shards is None,
+     "shard_window requires shards"),
+    (lambda c: c.shards is not None and c.faults is not None,
+     "shards excludes faults: crash recovery needs in-process worker "
+     "state"),
+    (lambda c: c.shards is not None and c.collectives,
+     "shards excludes collectives: relay legs would need cross-process "
+     "stream state"),
+    (lambda c: c.shards is not None and c.plan_cache,
+     "shards excludes plan_cache: recorded plans replay against "
+     "in-process worker state"),
+    (lambda c: c.plan_cache and c.chunk_bytes is not None,
+     "plan_cache excludes chunk_bytes: recorded plans replay "
+     "whole-array point-to-point transfers"),
+    (lambda c: c.plan_cache and c.collectives,
+     "plan_cache excludes collectives: recorded plans replay "
+     "whole-array point-to-point transfers"),
+)

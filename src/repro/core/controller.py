@@ -42,10 +42,14 @@ from repro.core.planner import TransferPlanner
 from repro.core.policies import Policy, SchedulingContext
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.config import RuntimeConfig
     from repro.core.session import Session
 
 __all__ = ["Controller", "ControllerStats", "RecoveryReport",
            "RunningAggregate", "HOST_MEM_BANDWIDTH", "NODE_CRASH"]
+
+#: CEs scheduled between two sweeps of the Global DAG's finished nodes.
+PRUNE_EVERY = 256
 
 
 class ControllerStats:
@@ -194,25 +198,11 @@ class RecoveryReport:
 class Controller:
     """Node-level scheduler and coherence authority of a GrOUT cluster."""
 
-    def __init__(self, cluster: Cluster, policy: Policy, *,
-                 max_streams_per_gpu: int = 4,
-                 prune_every: int = 256,
-                 collectives: bool = False,
-                 chunk_bytes: int | None = None,
-                 fair_share_window: int = 32,
-                 plan_cache: bool = False,
-                 shards: int | None = None,
-                 shard_window: float | None = None,
-                 shard_max_outstanding: int | None = None):
-        if plan_cache and (shards is not None or collectives
-                           or chunk_bytes is not None):
-            # Checked before anything is constructed (shard mode spawns
-            # worker processes).
-            raise SimError(
-                "plan_cache requires the default movement path in one "
-                "process (no collectives, no chunk_bytes, no shards): "
-                "recorded plans replay whole-array point-to-point "
-                "transfers against in-process worker state")
+    def __init__(self, cluster: Cluster, policy: Policy,
+                 config: "RuntimeConfig"):
+        """Schedule onto ``cluster`` with ``policy``, as ``config``'s
+        runtime knobs (:data:`~repro.core.config.RUNTIME_KNOBS`) say;
+        the config refused every unsupported combination when built."""
         self.cluster = cluster
         self.engine = cluster.engine
         self.policy = policy
@@ -221,29 +211,23 @@ class Controller:
             getattr(cluster, "metrics", None) or MetricsRegistry())
         self.profiler: CeProfiler | None = getattr(
             cluster, "profiler", None)
-        self._max_streams_per_gpu = max_streams_per_gpu
+        self._max_streams_per_gpu = config.max_streams_per_gpu
         #: Shard coordinator (conservative-window parallel simulation);
         #: ``None`` in the default single-process mode, which keeps the
         #: event schedule byte-identical to the golden trace.
         self.coordinator = None
-        if shards is not None:
-            if collectives:
-                raise SimError(
-                    "collectives are not supported in shard mode (relay "
-                    "legs would need cross-process stream state)")
+        if config.shards is not None:
             from repro.core import shard as shard_mod
-            kwargs = {}
-            if shard_window is not None:
-                kwargs["window"] = shard_window
-            if shard_max_outstanding is not None:
-                kwargs["max_outstanding"] = shard_max_outstanding
+            window = config.shard_window
             self.coordinator = shard_mod.ShardCoordinator(
-                self, shards, **kwargs)
+                self, config.shards,
+                window=shard_mod.DEFAULT_WINDOW if window is None
+                else window)
             self.workers = self.coordinator.proxies()
         else:
             self.workers: dict[str, IntraNodeScheduler] = {
                 w.name: IntraNodeScheduler(
-                    w, max_streams_per_gpu=max_streams_per_gpu,
+                    w, max_streams_per_gpu=config.max_streams_per_gpu,
                     metrics=self.metrics, profiler=self.profiler)
                 for w in cluster.workers
             }
@@ -251,8 +235,8 @@ class Controller:
         self.stats = ControllerStats(self.metrics)
         #: Collective data movement (broadcast relays); a no-op unless
         #: ``collectives`` is on, so the default schedule is untouched.
-        self.planner = TransferPlanner(self, enabled=collectives,
-                                       chunk_bytes=chunk_bytes)
+        self.planner = TransferPlanner(self, enabled=config.collectives,
+                                       chunk_bytes=config.chunk_bytes)
         self.context = SchedulingContext(
             workers=[w.name for w in cluster.workers],
             directory=self.directory,
@@ -261,7 +245,7 @@ class Controller:
         )
         #: Cross-program fairness for multi-session runs; inert with a
         #: single (or no) session.
-        self.fair_share_gate = FairShareGate(window=fair_share_window,
+        self.fair_share_gate = FairShareGate(window=config.fair_share_window,
                                              metrics=self.metrics)
         #: Algorithm 1 as explicit, individually swappable stages.
         self.pipeline = SchedulingPipeline([
@@ -276,10 +260,9 @@ class Controller:
         #: which case every path below stays byte-identical to the
         #: golden trace.
         self.plan_cache = None
-        if plan_cache:
+        if config.plan_cache:
             from repro.core.plancache import PlanCache
             self.plan_cache = PlanCache(self)
-        self._prune_every = prune_every
         self._pending: list[Event] = []
         self._scheduled = 0           # prune cadence, cheap local count
         self._prune_seen_events = -1  # engine progress at the last prune
@@ -337,7 +320,7 @@ class Controller:
             else:
                 state = self.pipeline.run(ce, session=session)
         self._scheduled += 1
-        if self._scheduled % self._prune_every == 0:
+        if self._scheduled % PRUNE_EVERY == 0:
             # A CE only becomes prunable when its done event is delivered,
             # which happens exclusively inside the engine's step loop — if
             # no event was processed since the last prune (the eager

@@ -22,6 +22,7 @@ from repro.sim import Engine, FaultInjector, FaultPlan, SimError, Tracer
 from repro.sim.faults import LINK_DEGRADE, TRANSFER_FLAKE, WORKER_CRASH
 from repro.core.arrays import ManagedArray
 from repro.core.ce import CeKind, ComputationalElement
+from repro.core.config import RUNTIME_KNOBS, RuntimeConfig
 from repro.core.controller import Controller
 from repro.core.intranode import IntraNodeScheduler
 from repro.core.policies import Policy, RoundRobinPolicy
@@ -53,38 +54,27 @@ class GroutRuntime:
     def __init__(self, cluster: Cluster | None = None, *,
                  policy: Policy | None = None,
                  n_workers: int = 2,
-                 max_streams_per_gpu: int = 4,
-                 chunk_bytes: int | None = None,
-                 collectives: bool = False,
-                 fair_share_window: int = 32,
-                 prune_every: int = 256,
-                 plan_cache: bool = False,
-                 shards: int | None = None,
-                 shard_window: float | None = None,
-                 shard_max_outstanding: int | None = None,
-                 **cluster_kwargs: object):
+                 **kwargs: object):
+        """``kwargs`` named in :data:`~repro.core.config.RUNTIME_KNOBS`
+        form the controller's :class:`~repro.core.config.RuntimeConfig`
+        (so the config's refusal table checks them); the rest build the
+        cluster through :func:`~repro.cluster.paper_cluster`."""
         # Set first so __del__ stays safe even if construction fails
         # before the controller exists.
         self._closed = False
+        config = RuntimeConfig(**{name: kwargs.pop(name)
+                                  for name in RUNTIME_KNOBS
+                                  if name in kwargs})
         if cluster is None:
-            cluster = paper_cluster(n_workers, **cluster_kwargs)  # type: ignore[arg-type]
-        elif cluster_kwargs:
+            cluster = paper_cluster(n_workers, **kwargs)  # type: ignore[arg-type]
+        elif kwargs:
             raise ValueError(
                 "pass either a prebuilt cluster or cluster kwargs, not both")
         self.cluster = cluster
-        if chunk_bytes is not None:
-            if chunk_bytes < 1:
-                raise ValueError("chunk_bytes must be >= 1")
-            cluster.fabric.chunk_bytes = chunk_bytes
+        if config.chunk_bytes is not None:
+            cluster.fabric.chunk_bytes = config.chunk_bytes
         self.policy = policy if policy is not None else RoundRobinPolicy()
-        self.controller = Controller(
-            cluster, self.policy, max_streams_per_gpu=max_streams_per_gpu,
-            prune_every=prune_every,
-            collectives=collectives, chunk_bytes=chunk_bytes,
-            fair_share_window=fair_share_window, plan_cache=plan_cache,
-            shards=shards,
-            shard_window=shard_window,
-            shard_max_outstanding=shard_max_outstanding)
+        self.controller = Controller(cluster, self.policy, config)
         #: Session whose submissions are being tagged right now (set by
         #: ``Session._activate``); None on the single-program path.
         self._active_session: Session | None = None

@@ -323,14 +323,9 @@ class ShardCoordinator:
     """Drives N shard processes through conservative exchange windows."""
 
     def __init__(self, controller: "Controller", shards: int, *,
-                 window: float = DEFAULT_WINDOW,
-                 max_outstanding: int = DEFAULT_MAX_OUTSTANDING):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if window <= 0:
-            raise ValueError("shard window must be positive")
-        if max_outstanding < 2:
-            raise ValueError("max_outstanding must be >= 2")
+                 window: float = DEFAULT_WINDOW):
+        # ``shards`` and ``window`` come from a validated RuntimeConfig;
+        # only the split depends on the cluster.
         cluster = controller.cluster
         if shards > len(cluster.workers):
             raise ValueError(
@@ -339,7 +334,7 @@ class ShardCoordinator:
         self.controller = controller
         self.engine = controller.engine
         self.window = float(window)
-        self.max_outstanding = max_outstanding
+        self.max_outstanding = DEFAULT_MAX_OUTSTANDING
         self.rounds = 0
         self._horizon = self.engine.now
         #: (start, horizon) of the round the shards are computing right

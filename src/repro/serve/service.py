@@ -75,6 +75,10 @@ class GroutService:
                 "serve needs an online policy (the runtime outlives any "
                 "single workload, so there is no tuned vector); pick "
                 "e.g. policy='round-robin' or 'least-loaded'")
+        if config.mode != "grout":
+            raise ValueError("serve hosts every submission as a session "
+                             "of one GrOUT runtime; mode='grcuda' has "
+                             "no sessions")
         if config.shards is not None:
             raise ValueError("serve runs the engine cooperatively and "
                              "does not support shard mode")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import paper_cluster
+from repro.core import controller as controller_mod
 from repro.core import GroutRuntime, RoundRobinPolicy, VectorStepPolicy
 from repro.gpu import ArrayAccess, Direction, KernelSpec, TEST_GPU_1GB
 from repro.gpu.specs import MIB
@@ -167,9 +168,9 @@ class TestOrdering:
 
 
 class TestDagMaintenance:
-    def test_prune_keeps_dag_bounded(self):
+    def test_prune_keeps_dag_bounded(self, monkeypatch):
+        monkeypatch.setattr(controller_mod, "PRUNE_EVERY", 8)
         rt = make_runtime()
-        rt.controller._prune_every = 8
         a = rt.device_array(4, virtual_nbytes=MIB)
         k = simple_kernel()
         for i in range(64):

@@ -19,7 +19,7 @@ from repro.core import GroutRuntime, RoundRobinPolicy, RuntimeConfig
 from repro.gpu import ArrayAccess, Direction, KernelSpec, TEST_GPU_1GB
 from repro.gpu.specs import MIB
 from repro.serve.service import GroutService
-from repro.sim import FaultPlan, SimError
+from repro.sim import FaultPlan
 from repro.uvm import Advise
 
 
@@ -148,7 +148,7 @@ class TestGuards:
     def test_incompatible_knobs_raise(self):
         for kwargs in ({"collectives": True}, {"chunk_bytes": MIB},
                        {"shards": 2}):
-            with pytest.raises(SimError, match="plan_cache"):
+            with pytest.raises(ValueError, match="plan_cache"):
                 _runtime(plan_cache=True, **kwargs)
 
     def test_grcuda_mode_rejects_the_knob(self):

@@ -48,6 +48,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match="shard"):
             GroutService(RuntimeConfig(policy="round-robin", shards=2))
 
+    def test_rejects_grcuda_mode(self):
+        """The single-node runtime has no sessions to host requests on,
+        so the service refuses it up front rather than on every submit."""
+        with pytest.raises(ValueError, match="mode='grcuda'"):
+            GroutService(RuntimeConfig(mode="grcuda", policy="round-robin"))
+
     def test_rejects_silly_quotas(self):
         with pytest.raises(ValueError, match="quotas"):
             _service(tenant_quota=0)

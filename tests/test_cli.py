@@ -73,6 +73,28 @@ class TestRunCommand:
         assert "--sessions must be >= 1" in capsys.readouterr().err
 
 
+class TestRefusedConfigurations:
+    """Every refused knob combination is a bad configuration: exit 2
+    with the config table's message, before anything is built."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "mv", "--gb", "0.5", "--mode", "grout", "--plan-cache",
+          "--collectives"], "plan_cache excludes collectives"),
+        (["serve", "--port", "0", "--plan-cache", "--chunk-bytes",
+          "1048576"], "plan_cache excludes chunk_bytes"),
+        (["run", "mv", "--gb", "0.5", "--mode", "grcuda",
+          "--collectives"], "collectives requires mode='grout'"),
+        (["run", "mv", "--gb", "0.5", "--mode", "grcuda",
+          "--faults", "flake@0.0"], "faults requires mode='grout'"),
+    ], ids=["run-plan-cache-collectives", "serve-plan-cache-chunk-bytes",
+            "run-grcuda-collectives", "run-grcuda-faults"])
+    def test_exit_two_with_the_table_message(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"bad configuration: {message}" in captured.err
+        assert captured.out == ""
+
+
 class TestFigureCommand:
     def test_quick_fig6a(self, capsys):
         assert main(["figure", "6a", "--quick"]) == 0

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.config import RuntimeConfig
 from repro.obs import CATALOG, PHASES
 from repro.sim import CATEGORIES
 from repro.uvm import PAGING_BACKENDS
@@ -93,6 +94,18 @@ def test_api_documents_every_backend():
     registered = set(PAGING_BACKENDS)
     assert registered - documented == set(), "undocumented backends"
     assert documented - registered == set(), "docs mention ghost backends"
+
+
+def test_api_documents_every_config_field():
+    """The API.md RuntimeConfig table has one row per field, no ghosts."""
+    section = _section(API_MD.read_text(encoding="utf-8"),
+                       "### RuntimeConfig — one record of every "
+                       "construction knob")
+    rows = _TABLE_KEY_RE.findall(section)
+    fields = set(RuntimeConfig.field_names())
+    assert len(rows) == len(set(rows)), "a field documented twice"
+    assert fields - set(rows) == set(), "undocumented config fields"
+    assert set(rows) - fields == set(), "docs mention ghost config fields"
 
 
 def test_api_names_every_workload():
