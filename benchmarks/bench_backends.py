@@ -2,24 +2,23 @@
 """Paging-backend comparison CLI — cpu-pme vs gpuvm slowdown curves.
 
 Sweeps (workload × footprint × backend) on the single-node runtime and
-prints per-(workload, backend) slowdown curves; the backends must
-disagree on at least one irregular workload or ``--check-divergence``
-fails (the two cost models have collapsed into one).
+prints per-(workload, backend) slowdown curves.  Its ``backends`` row in
+the ``grout-bench/1`` record is the worst elapsed ratio over the
+irregular workloads, floored at 2x: under ``--check`` the backends must
+disagree that much on at least one irregular workload, or the two cost
+models have collapsed into one.
 
 Usage (see docs/WORKLOADS.md and docs/MODEL.md §9)::
 
     PYTHONPATH=src python benchmarks/bench_backends.py             # full sweep
     PYTHONPATH=src python benchmarks/bench_backends.py --quick
     PYTHONPATH=src python benchmarks/bench_backends.py --quick \\
-        --check-divergence                                         # CI gate
-    PYTHONPATH=src python benchmarks/bench_backends.py \\
-        --out BENCH_backends.json
+        --check BENCH_baseline.json                                # CI gate
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -30,12 +29,13 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.bench import gate
     from repro.bench.backends import (
         DEFAULT_SIZES_GB,
         DEFAULT_WORKLOADS,
         QUICK_SIZES_GB,
-        check_divergence,
         divergence,
+        gate_rows,
         run_backends,
     )
     from repro.bench.report import format_table
@@ -57,14 +57,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="repetitions averaged per configuration")
     parser.add_argument("--verify", action="store_true",
                         help="also run the numerical checks")
-    parser.add_argument("--out", type=str, default=None,
-                        help="write the grout-bench-backends/1 JSON here")
-    parser.add_argument("--check-divergence", action="store_true",
-                        help="exit non-zero unless gpuvm diverges from "
-                             "cpu-pme on an irregular workload")
-    parser.add_argument("--divergence-factor", type=float, default=2.0,
-                        help="required worst-case elapsed ratio "
-                             "(default 2.0)")
+    gate.add_cli_args(parser)
     args = parser.parse_args(argv)
 
     if args.sizes:
@@ -76,44 +69,27 @@ def main(argv: list[str] | None = None) -> int:
     backends = (tuple(args.backends.split(","))
                 if args.backends else None)
 
-    payload = run_backends(workloads, sizes, backends,
+    results = run_backends(workloads, sizes, backends,
                            repeats=args.repeats, check=args.verify,
                            log=print)
 
     rows = [(r["workload"], r["backend"], f"{r['gb']:g}",
              f"{r['elapsed_seconds']:.4g}", f"{r['slowdown']:.4g}",
              "yes" if r["completed"] else "NO")
-            for r in payload["results"]]
+            for r in results]
     print()
     print(format_table(
         ["workload", "backend", "GB", "elapsed (s)", "slowdown",
          "completed"], rows, title="Paging backends"))
 
-    worst = divergence(payload)
+    worst = divergence(results)
     if worst:
         print()
         print(format_table(
             ["workload", "worst cpu-pme vs gpuvm ratio"],
             [(w, f"{r:.4g}x") for w, r in sorted(worst.items())],
             title="Backend divergence"))
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-        print(f"\nwrote {args.out}")
-
-    if args.check_divergence:
-        failures = check_divergence(payload,
-                                    factor=args.divergence_factor)
-        if failures:
-            print("\nBACKEND DIVERGENCE CHECK FAILED")
-            for failure in failures:
-                print("  " + failure)
-            return 1
-        print(f"\ndivergence gate OK (>= {args.divergence_factor:g}x on "
-              "an irregular workload)")
-    return 0
+    return gate.finish(args, gate_rows(results, sizes))
 
 
 if __name__ == "__main__":

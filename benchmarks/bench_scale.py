@@ -3,27 +3,27 @@
 
 Measures how fast the whole stack (controller pipeline, dependency DAG,
 intra-node schedulers, event engine) chews through synthetic workloads,
-and records the repository's perf trajectory in ``BENCH_scale.json``.
+and emits one ``scale`` row per run into the ``grout-bench/1`` record
+(``src/repro/bench/gate.py``).
 
 Usage (see docs/PERFORMANCE.md for the full story)::
 
     PYTHONPATH=src python benchmarks/bench_scale.py               # full sweep
     PYTHONPATH=src python benchmarks/bench_scale.py --quick       # 10k only
     PYTHONPATH=src python benchmarks/bench_scale.py --quick \\
-        --check BENCH_scale.json                                  # CI gate
-    PYTHONPATH=src python benchmarks/bench_scale.py --out BENCH_scale.json
+        --check BENCH_baseline.json                               # CI gate
+    PYTHONPATH=src python benchmarks/bench_scale.py --out BENCH_baseline.json
 
-``--check`` exits non-zero when any overlapping (workload, size, shards)
-tuple dropped below 1/2 of the committed baseline's events/sec;
-``--repeats 3`` gates on the median run.  ``--shards N`` measures the
-conservative-window sharded mode (its rows only ever compare against
-sharded baseline rows).
+``--check`` exits non-zero when a (workload, size, shards) cell the
+baseline also holds dropped below 1/2 of its events/sec, or the engine
+row fell under its 250,000 events/s floor; ``--repeats 3`` gates on the
+median run.  ``--shards N`` measures the conservative-window sharded
+mode (its ``/shardsN`` cells only ever meet sharded baseline rows).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -37,10 +37,10 @@ QUICK_SIZES = (10_000,)
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.bench.export import figure_to_dict
+    from repro.bench import gate
     from repro.bench.report import format_table
-    from repro.bench.scale import (WORKLOADS, check_regression, profile_run,
-                                   run_engine_microbench, run_scale)
+    from repro.bench.scale import (WORKLOADS, run_engine_microbench,
+                                   run_scale, run_scale_once)
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
@@ -51,13 +51,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", type=str, default=None,
                         help=f"comma-separated subset of "
                              f"{','.join(sorted(WORKLOADS))}")
-    parser.add_argument("--out", type=str, default=None,
-                        help="write the grout-bench-scale/1 JSON here")
-    parser.add_argument("--check", type=str, default=None,
-                        help="baseline JSON to gate against (events/sec "
-                             "below 1/factor of baseline fails)")
-    parser.add_argument("--check-factor", type=float, default=2.0,
-                        help="allowed events/sec regression (default 2.0)")
     parser.add_argument("--shards", type=int, default=None,
                         help="run the workers in N shard processes "
                              "(conservative-window parallel simulation)")
@@ -66,22 +59,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--repeats", type=int, default=1,
                         help="measure each pair N times, record the "
                              "median-events/sec run (default 1)")
-    parser.add_argument("--reference", type=str, default=None,
-                        help="earlier capture whose results are embedded "
-                             "as the report's `reference` section")
     parser.add_argument("--no-isolate", action="store_true",
                         help="run in-process instead of forking per run")
     parser.add_argument("--profile", type=int, default=None, metavar="N",
                         help="cProfile each (workload, size) pair "
-                             "in-process and embed the top-N functions "
-                             "by tottime in the report JSON")
+                             "in-process and print its top-N functions "
+                             "by tottime")
     parser.add_argument("--no-engine", action="store_true",
                         help="skip the engine-only timeout-churn "
                              "microbenchmark row")
-    parser.add_argument("--engine-floor", type=float, default=250_000,
-                        help="absolute events/sec floor for the engine "
-                             "microbenchmark when --check is given "
-                             "(default 250000; 0 disables)")
+    gate.add_cli_args(parser)
     args = parser.parse_args(argv)
 
     if args.sizes:
@@ -92,64 +79,35 @@ def main(argv: list[str] | None = None) -> int:
     workloads = (tuple(args.workloads.split(","))
                  if args.workloads else None)
 
-    report = run_scale(sizes, workloads, quick=args.quick,
-                       isolate=not args.no_isolate, shards=args.shards,
-                       shard_window=args.shard_window,
-                       repeats=args.repeats, log=print)
-    engine_row = None
+    results = run_scale(sizes, workloads, isolate=not args.no_isolate,
+                        shards=args.shards,
+                        shard_window=args.shard_window,
+                        repeats=args.repeats, log=print)
     if not args.no_engine:
         print("running engine timeout-churn microbenchmark ...")
         engine_row = run_engine_microbench()
-        report.results.append(engine_row)
+        results.append(engine_row)
         print(f"  {engine_row.wall_seconds:8.2f}s wall   "
               f"{engine_row.events_per_sec:12,.0f} events/s")
     if args.profile is not None:
-        report.profile = {}
         for ces in sizes:
             for name in (workloads or tuple(sorted(WORKLOADS))):
-                print(f"profiling {name} @ {ces:,} CEs ...")
-                report.profile[f"{name}@{ces}"] = profile_run(
-                    name, ces, top=args.profile, shards=args.shards,
-                    shard_window=args.shard_window)
-    if args.reference:
-        with open(args.reference, "r", encoding="utf-8") as fh:
-            report.reference = json.load(fh).get("results")
+                print()
+                print(gate.profile_top(
+                    lambda: run_scale_once(
+                        name, ces, shards=args.shards,
+                        shard_window=args.shard_window),
+                    args.profile, title=f"cProfile {name}@{ces}"))
 
-    payload = figure_to_dict(report)
     rows = [(r.workload, f"{r.ces:,}", str(r.shards or "-"),
              f"{r.wall_seconds:.2f}",
              f"{r.ces_per_sec:,.0f}", f"{r.events_per_sec:,.0f}",
-             f"{r.peak_rss_mib:.1f}") for r in report.results]
+             f"{r.peak_rss_mib:.1f}") for r in results]
     print()
     print(format_table(
         ["workload", "CEs", "shards", "wall (s)", "CEs/s", "events/s",
          "peak RSS (MiB)"], rows, title="Scheduling scale"))
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
-        print(f"\nwrote {args.out}")
-
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        failures = check_regression(baseline, payload,
-                                    factor=args.check_factor)
-        if (engine_row is not None and args.engine_floor > 0
-                and engine_row.events_per_sec < args.engine_floor):
-            failures.append(
-                f"engine microbenchmark: "
-                f"{engine_row.events_per_sec:,.0f} events/s below the "
-                f"absolute floor of {args.engine_floor:,.0f}")
-        if failures:
-            print("\nPERF REGRESSION vs " + args.check)
-            for failure in failures:
-                print("  " + failure)
-            return 1
-        print(f"\nperf gate OK vs {args.check} "
-              f"(events/sec >= 1/{args.check_factor:g} of baseline)")
-    return 0
+    return gate.finish(args, [r.row() for r in results])
 
 
 if __name__ == "__main__":

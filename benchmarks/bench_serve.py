@@ -28,14 +28,17 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_serve.py --quick
     PYTHONPATH=src python benchmarks/bench_serve.py --out serve.json
     PYTHONPATH=src python benchmarks/bench_serve.py --quick \\
-        --check BENCH_serve.json                           # CI gate
+        --check BENCH_baseline.json                        # CI gate
     PYTHONPATH=src python benchmarks/bench_serve.py --profile 25
 
-``--check`` exits non-zero when a matched cell regressed by more than
-``--check-factor`` against the committed baseline; comparisons are
-simulated quantities and throughput *ratios*, never absolute
-wall-clock, so the gate is machine-height independent.  Emits one
-``grout-bench-serve/1`` JSON document; also collectable by pytest
+Emits ``serve`` rows of the ``grout-bench/1`` record
+(``src/repro/bench/gate.py``): the idle service time, the burst's
+makespan and ``peak_inflight`` (floor 200), each rate cell's p50 and
+the hot tenant's speedup (floor ``SPEEDUP_FLOOR``).  ``--check`` exits
+non-zero when a cell the baseline also holds regressed by more than 2x
+or a row fell under its floor.  Every row is a simulated quantity, a
+count or a throughput *ratio*, never absolute wall-clock, so the gate
+is machine-height independent.  Also collectable by pytest
 (``pytest benchmarks/bench_serve.py``).
 """
 
@@ -43,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import pathlib
 import sys
@@ -56,17 +58,18 @@ if _SRC.is_dir() and str(_SRC) not in sys.path:
 
 import numpy as np
 
+from repro.bench import gate
 from repro.core.config import RuntimeConfig
 from repro.gpu.specs import MIB
 from repro.serve import GroutService, WorkloadSpec
 
 QUICK = bool(int(os.environ.get("REPRO_BENCH_QUICK", "0")))
 
-SCHEMA = "grout-bench-serve/1"
 WORKLOAD = "mv"
 FOOTPRINT = 16 * MIB        # tiny per-session footprint: load, not paging
 N_CHUNKS = 2
 BURST_SESSIONS = 220        # the ">= 200 concurrent sessions" headline
+PEAK_INFLIGHT_FLOOR = 200
 N_TENANTS = 8
 SATURATION_FACTOR = 2.0     # p50 > 2x idle service time = saturated
 
@@ -235,143 +238,49 @@ def run_repeated(n_sessions: int, trials: int) -> dict:
     }
 
 
-# -- profiling ---------------------------------------------------------------
+def run_suite(quick: bool = QUICK, *,
+              burst_sessions: int = BURST_SESSIONS) -> list[dict]:
+    """The full load story as ``serve`` gate rows, one line printed per
+    cell."""
+    def row(cell, metric, value, better, floor=None):
+        return gate.row("serve", cell, metric, value, better, floor)
 
+    service_time = idle_service_seconds()
+    print(f"idle: {service_time:.4g}s service time (simulated)")
+    rows = [row("idle", "service_seconds", service_time, "lower")]
 
-def profile_run(top: int = 25, *, quick: bool = QUICK) -> list[dict]:
-    """cProfile the repeated hot-tenant cell; top-``top`` by total time.
+    n_requests = REQUESTS_QUICK if quick else REQUESTS_FULL
+    for load in LOADS_QUICK if quick else LOADS_FULL:
+        latency = run_open_loop(load / service_time, n_requests)["latency"]
+        cell = f"rate@{load}x{n_requests}"
+        saturated = latency["p50"] > SATURATION_FACTOR * service_time
+        print(f"{cell}: p50 {latency['p50']:.4g}s, p99 "
+              f"{latency['p99']:.4g}s (simulated)"
+              + (", saturated" if saturated else ""))
+        rows.append(row(cell, "p50_seconds", latency["p50"], "lower"))
 
-    Rows are plain dicts (function, file:line, ncalls, tottime, cumtime)
-    ready for the ``profile`` section of ``BENCH_serve.json`` — the
-    where-does-the-time-go capture for the serve fast path, same shape
-    as ``bench_scale.py --profile``.
-    """
-    import cProfile
-    import pstats
+    burst = run_burst(burst_sessions)
+    cell = f"burst@{burst_sessions}"
+    print(f"{cell}: {burst['peak_inflight']} concurrent sessions, makespan "
+          f"{burst['makespan_seconds']:.4g}s, p50 "
+          f"{burst['latency']['p50']:.4g}s, p99 "
+          f"{burst['latency']['p99']:.4g}s (simulated)")
+    rows += [row(cell, "makespan_seconds", burst["makespan_seconds"],
+                 "lower"),
+             row(cell, "peak_inflight", burst["peak_inflight"], "higher",
+                 PEAK_INFLIGHT_FLOOR)]
 
     n = REPEAT_SESSIONS_QUICK if quick else REPEAT_SESSIONS_FULL
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        run_repeated(n, trials=1)
-    finally:
-        prof.disable()
-    stats = pstats.Stats(prof)
-    stats.sort_stats("tottime")
-    rows = []
-    for func in stats.fcn_list[:top]:
-        cc, nc, tt, ct, _callers = stats.stats[func]
-        filename, line, name = func
-        rows.append({
-            "function": name,
-            "file": f"{filename}:{line}",
-            "ncalls": nc,
-            "tottime": round(tt, 4),
-            "cumtime": round(ct, 4),
-        })
+    trials = REPEAT_TRIALS_QUICK if quick else REPEAT_TRIALS_FULL
+    repeated = run_repeated(n, trials)
+    cell = f"repeated@{n}x{trials}"
+    print(f"{cell}: hot tenant {repeated['speedup']:g}x with the plan "
+          f"cache ({repeated['off_sessions_per_sec']:g} -> "
+          f"{repeated['on_sessions_per_sec']:g} sessions/s, "
+          f"{repeated['plancache']['memo_hits']:g} memo hits)")
+    rows.append(row(cell, "speedup", repeated["speedup"], "higher",
+                    SPEEDUP_FLOOR))
     return rows
-
-
-# -- regression gate ---------------------------------------------------------
-
-
-def check_regression(baseline: dict, current: dict, *,
-                     factor: float = 2.0) -> list[str]:
-    """Compare two ``grout-bench-serve/1`` payloads; returns failures.
-
-    Every comparison is machine-height independent: rate cells gate on
-    *simulated* latency (matched on (offered_load, requests) — a
-    30-request quick cell never gates against a 100-request full one),
-    the burst on simulated makespan, and the repeated hot-tenant cell
-    on the off/on throughput *ratio*.  A matched pair fails when the
-    current value regressed by more than ``factor``; cells only one
-    side has are ignored, but zero overlap anywhere is itself a
-    failure (the gate would otherwise pass vacuously).
-    """
-    failures = []
-    matched = 0
-
-    b_idle = baseline.get("idle_service_seconds")
-    c_idle = current.get("idle_service_seconds")
-    if b_idle and c_idle:
-        matched += 1
-        if c_idle > factor * b_idle:
-            failures.append(
-                f"idle service time {c_idle:.4g}s (simulated) vs "
-                f"baseline {b_idle:.4g}s (> {factor:g}x regression)")
-
-    b_burst, c_burst = baseline.get("burst"), current.get("burst")
-    if (b_burst and c_burst
-            and b_burst["sessions"] == c_burst["sessions"]):
-        matched += 1
-        if (c_burst["makespan_seconds"]
-                > factor * b_burst["makespan_seconds"]):
-            failures.append(
-                f"burst@{c_burst['sessions']}: makespan "
-                f"{c_burst['makespan_seconds']:.4g}s (simulated) vs "
-                f"baseline {b_burst['makespan_seconds']:.4g}s "
-                f"(> {factor:g}x regression)")
-
-    b_rates = {(r["offered_load"], r["requests"]): r
-               for r in baseline.get("rates", [])}
-    for cell in current.get("rates", []):
-        base = b_rates.get((cell["offered_load"], cell["requests"]))
-        if base is None:
-            continue
-        matched += 1
-        if cell["latency"]["p50"] > factor * base["latency"]["p50"]:
-            failures.append(
-                f"load {cell['offered_load']:g}: p50 "
-                f"{cell['latency']['p50']:.4g}s (simulated) vs "
-                f"baseline {base['latency']['p50']:.4g}s "
-                f"(> {factor:g}x regression)")
-
-    b_rep, c_rep = baseline.get("repeated"), current.get("repeated")
-    if (b_rep and c_rep
-            and (b_rep["sessions"], b_rep["trials"])
-            == (c_rep["sessions"], c_rep["trials"])):
-        matched += 1
-        if c_rep["speedup"] * factor < b_rep["speedup"]:
-            failures.append(
-                f"repeated hot tenant: plan-cache speedup "
-                f"{c_rep['speedup']:g}x vs baseline "
-                f"{b_rep['speedup']:g}x (> {factor:g}x regression)")
-
-    if not matched:
-        failures.append("no overlapping cells between baseline and "
-                        "current run")
-    return failures
-
-
-def run_suite(quick: bool = QUICK, *,
-              burst_sessions: int = BURST_SESSIONS) -> dict:
-    """The full load story as one ``grout-bench-serve/1`` document."""
-    service_time = idle_service_seconds()
-    loads = LOADS_QUICK if quick else LOADS_FULL
-    n_requests = REQUESTS_QUICK if quick else REQUESTS_FULL
-    sweep = []
-    saturation = None
-    for load in loads:
-        cell = run_open_loop(load / service_time, n_requests)
-        cell["offered_load"] = load
-        cell["saturated"] = (cell["latency"]["p50"]
-                             > SATURATION_FACTOR * service_time)
-        if saturation is None and cell["saturated"]:
-            saturation = load
-        sweep.append(cell)
-    return {
-        "schema": SCHEMA,
-        "workload": WORKLOAD,
-        "footprint_bytes": FOOTPRINT,
-        "quick": quick,
-        "idle_service_seconds": service_time,
-        "burst": run_burst(burst_sessions),
-        "rates": sweep,
-        "saturation_offered_load": saturation,
-        "repeated": run_repeated(
-            REPEAT_SESSIONS_QUICK if quick else REPEAT_SESSIONS_FULL,
-            REPEAT_TRIALS_QUICK if quick else REPEAT_TRIALS_FULL),
-    }
 
 
 # -- pytest entry points ----------------------------------------------------
@@ -421,71 +330,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--burst", type=int, default=BURST_SESSIONS,
                         metavar="N",
                         help=f"burst size (default {BURST_SESSIONS})")
-    parser.add_argument("--out", default="-",
-                        help="JSON file, or - for stdout")
     parser.add_argument("--profile", type=int, default=None, metavar="N",
-                        help="embed cProfile top-N of the repeated "
-                             "hot-tenant cell in the output")
-    parser.add_argument("--check", type=str, default=None,
-                        metavar="BASELINE.json",
-                        help="gate against a committed baseline; exit "
-                             "non-zero on regression")
-    parser.add_argument("--check-factor", type=float, default=2.0,
-                        metavar="F",
-                        help="allowed regression factor for --check "
-                             "(default 2.0)")
+                        help="print the cProfile top-N of the repeated "
+                             "hot-tenant cell")
+    gate.add_cli_args(parser)
     args = parser.parse_args(argv)
 
-    doc = run_suite(args.quick or QUICK, burst_sessions=args.burst)
+    quick = args.quick or QUICK
+    rows = run_suite(quick, burst_sessions=args.burst)
     if args.profile is not None:
-        doc["profile"] = {"repeated": profile_run(
-            args.profile, quick=args.quick or QUICK)}
-    rendered = json.dumps(doc, indent=2)
-    if args.out == "-":
-        print(rendered)
-    else:
-        pathlib.Path(args.out).write_text(rendered + "\n",
-                                          encoding="utf-8")
-        print(f"written to {args.out}")
-
-    burst = doc["burst"]
-    if burst["peak_inflight"] < 200:
-        print(f"FAIL: peak_inflight {burst['peak_inflight']} < 200",
-              file=sys.stderr)
-        return 1
-    repeated = doc["repeated"]
-    if repeated["speedup"] < SPEEDUP_FLOOR:
-        print(f"FAIL: repeated hot tenant sped up only "
-              f"{repeated['speedup']:g}x with the plan cache "
-              f"(floor {SPEEDUP_FLOOR:g}x)", file=sys.stderr)
-        return 1
-    sat = doc["saturation_offered_load"]
-    print(f"burst: {burst['peak_inflight']} concurrent sessions, "
-          f"p50={burst['latency']['p50']:.4g}s "
-          f"p99={burst['latency']['p99']:.4g}s (simulated); "
-          f"saturation at offered load "
-          f"{sat if sat is not None else '> max swept'}; "
-          f"hot tenant {repeated['speedup']:g}x with the plan cache "
-          f"({repeated['off_sessions_per_sec']:g} -> "
-          f"{repeated['on_sessions_per_sec']:g} sessions/s, "
-          f"{repeated['plancache']['memo_hits']:g} memo hits)",
-          file=sys.stderr)
-
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        failures = check_regression(baseline, doc,
-                                    factor=args.check_factor)
-        if failures:
-            print("\nPERF REGRESSION vs " + args.check,
-                  file=sys.stderr)
-            for failure in failures:
-                print("  " + failure, file=sys.stderr)
-            return 1
-        print(f"perf gate OK vs {args.check} "
-              f"(within {args.check_factor:g}x of baseline)",
-              file=sys.stderr)
-    return 0
+        n = REPEAT_SESSIONS_QUICK if quick else REPEAT_SESSIONS_FULL
+        print()
+        print(gate.profile_top(lambda: run_repeated(n, trials=1),
+                               args.profile,
+                               title=f"cProfile repeated@{n}x1"))
+    return gate.finish(args, rows)
 
 
 if __name__ == "__main__":

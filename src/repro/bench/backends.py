@@ -3,25 +3,26 @@
 Sweeps (workload × footprint × paging backend) on the single-node
 baseline runtime — oversubscription cliffs are a single-node phenomenon;
 the backend decides how hard they bite — and reports per-(workload,
-backend) slowdown curves in the ``grout-bench-backends/1`` schema.
+backend) slowdown curves.
 
 The point of the exercise: the CPU-driven PME and a GPUVM-style
 GPU-driven design *disagree* about which workloads hurt.  Streaming
 loses its prefetcher runway under GPU-driven paging; random access
-stops collapsing.  ``check_divergence`` turns that disagreement into a
-gate — at least one irregular workload must separate the backends by
-the requested factor, or the backends have degenerated into one model.
+stops collapsing.  :func:`gate_rows` turns that disagreement into a
+``backends`` row of the ``grout-bench/1`` record (:mod:`repro.bench.gate`)
+with a floor: at least one irregular workload must separate the backends
+by :data:`DIVERGENCE_FLOOR`, or the backends have degenerated into one
+model.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
+from repro.bench import gate
 from repro.bench.harness import RUN_CAP_SECONDS, run_single_node
 from repro.gpu.specs import GIB
 from repro.uvm.backends import PAGING_BACKENDS
-
-SCHEMA = "grout-bench-backends/1"
 
 #: Default sweep: fits (0.5× OSF) through the paper's first two cliffs.
 DEFAULT_SIZES_GB: tuple[float, ...] = (16.0, 32.0, 64.0, 96.0)
@@ -34,8 +35,12 @@ QUICK_SIZES_GB: tuple[float, ...] = (16.0, 64.0)
 DEFAULT_WORKLOADS: tuple[str, ...] = ("mv", "spmv", "bfs", "join")
 
 #: The workloads whose access patterns are data-dependent — the ones
-#: ``check_divergence`` inspects.
+#: :func:`gate_rows` inspects.
 IRREGULAR_WORKLOADS: frozenset[str] = frozenset({"spmv", "bfs", "join"})
+
+#: The worst cpu-pme-vs-gpuvm elapsed ratio some irregular workload
+#: must reach.
+DIVERGENCE_FLOOR = 2.0
 
 
 def run_backends(workloads: Sequence[str] = DEFAULT_WORKLOADS,
@@ -44,10 +49,10 @@ def run_backends(workloads: Sequence[str] = DEFAULT_WORKLOADS,
                  cap: float | None = RUN_CAP_SECONDS,
                  repeats: int = 1,
                  check: bool = False,
-                 log: Callable[[str], None] | None = None) -> dict:
-    """Run the sweep; returns the ``grout-bench-backends/1`` payload.
+                 log: Callable[[str], None] | None = None) -> list[dict]:
+    """Run the sweep; one result dict per configuration, in sweep order.
 
-    Each result row records the simulated elapsed time plus its
+    Each result records the simulated elapsed time plus its
     *slowdown* — elapsed over the same (workload, backend) pair's
     smallest-footprint elapsed, the paper's Fig. 6 y-axis.
     """
@@ -76,25 +81,10 @@ def run_backends(workloads: Sequence[str] = DEFAULT_WORKLOADS,
                     log(f"  {workload:>5s} {backend:>8s} {gb:6.4g} GB  "
                         f"{res.elapsed_seconds:10.4g} s  "
                         f"x{row['slowdown']:.4g}")
-    return {
-        "schema": SCHEMA,
-        "sizes_gb": list(sizes_gb),
-        "workloads": list(workloads),
-        "backends": list(backends),
-        "results": results,
-    }
+    return results
 
 
-def slowdown_curves(payload: dict) -> dict[tuple[str, str], list[float]]:
-    """(workload, backend) -> slowdown series, in sweep order."""
-    curves: dict[tuple[str, str], list[float]] = {}
-    for row in payload["results"]:
-        curves.setdefault((row["workload"], row["backend"]), []) \
-            .append(row["slowdown"])
-    return curves
-
-
-def divergence(payload: dict,
+def divergence(results: list[dict],
                baseline: str = "cpu-pme",
                other: str = "gpuvm") -> dict[str, float]:
     """Per-workload worst-case elapsed ratio between two backends.
@@ -105,7 +95,7 @@ def divergence(payload: dict,
     """
     elapsed: dict[tuple[str, str, float], float] = {
         (r["workload"], r["backend"], r["gb"]): r["elapsed_seconds"]
-        for r in payload["results"]}
+        for r in results}
     worst: dict[str, float] = {}
     for (workload, backend, gb), seconds in elapsed.items():
         if backend != baseline:
@@ -118,20 +108,15 @@ def divergence(payload: dict,
     return worst
 
 
-def check_divergence(payload: dict, *, factor: float = 2.0,
-                     workloads: frozenset[str] = IRREGULAR_WORKLOADS
-                     ) -> list[str]:
-    """Failures list (empty = OK): at least one irregular workload must
-    separate the backends by ``factor``."""
-    worst = divergence(payload)
-    hits = {w: r for w, r in worst.items()
-            if w in workloads and r >= factor}
-    if hits:
+def gate_rows(results: list[dict],
+              sizes_gb: Sequence[float]) -> list[dict]:
+    """The sweep's gate row: the worst ratio over the irregular
+    workloads, floored at :data:`DIVERGENCE_FLOOR`, in the
+    ``irregular@<sizes>`` cell (none without an irregular workload)."""
+    worst = [r for w, r in divergence(results).items()
+             if w in IRREGULAR_WORKLOADS]
+    if not worst:
         return []
-    measured = {w: r for w, r in worst.items() if w in workloads}
-    return [
-        f"no irregular workload separated cpu-pme from gpuvm by "
-        f">= {factor:g}x (measured: "
-        + (", ".join(f"{w}={r:.3g}x"
-                     for w, r in sorted(measured.items())) or "none")
-        + ")"]
+    cell = "irregular@" + ",".join(f"{gb:g}" for gb in sizes_gb)
+    return [gate.row("backends", cell, "divergence", max(worst), "higher",
+                     floor=DIVERGENCE_FLOOR)]

@@ -21,11 +21,11 @@ Three DAG shapes cover the regimes long-horizon runtimes meet:
     the long-horizon session profile (bounded live DAG, millions of
     events).
 
-Results are serialised through the standard figure-export machinery
-(:func:`repro.bench.export.figure_to_dict`) into ``BENCH_scale.json`` —
-the repository's recorded perf trajectory.  ``check_regression`` diffs a
-fresh run against that committed baseline so CI can fail on a
-wall-clock regression (see ``benchmarks/bench_scale.py --check``).
+Each run becomes one ``scale`` row of the ``grout-bench/1`` record
+(:mod:`repro.bench.gate`): the events/s of its ``workload@size`` cell,
+``/shardsN`` appended in shard mode.  ``benchmarks/bench_scale.py
+--check BENCH_baseline.json`` gates the rows against the committed
+baseline, so CI fails on a wall-clock regression.
 
 Tracing is disabled for these runs (a million spans is a memory
 benchmark, not a scheduling one); metrics and the per-CE profiler stay
@@ -37,16 +37,17 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.bench import gate
 from repro.cluster.cluster import paper_cluster
 from repro.gpu.kernel import ArrayAccess, Direction, KernelSpec
 from repro.gpu.specs import KIB, MIB, TEST_GPU_1GB
 
-__all__ = ["ScaleRunResult", "ScaleReport", "WORKLOADS",
-           "run_scale_once", "run_scale", "run_engine_microbench",
-           "profile_run", "check_regression", "ENGINE_MICROBENCH_EVENTS",
-           "FOOTPRINT_CLUSTERS", "QueuedFootprint", "queued_ce_footprint"]
+__all__ = ["ScaleRunResult", "WORKLOADS", "run_scale_once", "run_scale",
+           "run_engine_microbench", "ENGINE_MICROBENCH_EVENTS",
+           "ENGINE_FLOOR", "FOOTPRINT_CLUSTERS", "QueuedFootprint",
+           "queued_ce_footprint"]
 
 #: Benchmark cluster: the paper's three-worker setup with small GPUs so
 #: the footprint stays comfortably resident (scheduling, not eviction,
@@ -59,6 +60,7 @@ class ScaleRunResult:
     """One (workload, size) measurement."""
 
     workload: str
+    size: int                # CEs asked for
     ces: int                 # CEs actually scheduled
     wall_seconds: float      # host wall-clock, build + drain
     sim_seconds: float       # simulated makespan
@@ -68,22 +70,18 @@ class ScaleRunResult:
     peak_rss_mib: float      # process peak RSS after the run
     shards: int = 0          # shard processes (0 = single-process mode)
 
-
-@dataclass(slots=True)
-class ScaleReport:
-    """The perf-trajectory record written to ``BENCH_scale.json``."""
-
-    schema: str = "grout-bench-scale/1"
-    python: str = ""
-    quick: bool = False
-    results: list[ScaleRunResult] = field(default_factory=list)
-    #: Optional earlier capture kept alongside for the history books
-    #: (e.g. the pre-optimization numbers this PR's speedup is measured
-    #: against).  Same shape as ``results``, plain dicts.
-    reference: list[dict] | None = None
-    #: Optional cProfile capture: ``{"workload@ces": [row, ...]}`` with
-    #: the top-N functions by total time (see :func:`profile_run`).
-    profile: dict | None = None
+    def row(self) -> dict:
+        """This run's gate row: the events/s of its
+        ``workload@size[/shardsN]`` cell.  A sharded cell only ever
+        meets a sharded baseline, since its event count covers the
+        controller engine only; the engine row carries
+        :data:`ENGINE_FLOOR`."""
+        cell = f"{self.workload}@{self.size}" + (
+            f"/shards{self.shards}" if self.shards else "")
+        return gate.row("scale", cell, "events_per_sec",
+                        self.events_per_sec, "higher",
+                        floor=ENGINE_FLOOR if self.workload == "engine"
+                        else None)
 
 
 # -- synthetic workloads -------------------------------------------------------
@@ -209,6 +207,7 @@ def run_scale_once(workload: str, ces: int, *,
     rt.shutdown()
     return ScaleRunResult(
         workload=workload,
+        size=ces,
         ces=scheduled,
         wall_seconds=wall,
         sim_seconds=rt.engine.now,
@@ -257,14 +256,13 @@ def _run_in_subprocess(workload: str, ces: int, n_workers: int,
 
 def run_scale(sizes: tuple[int, ...],
               workloads: tuple[str, ...] | None = None, *,
-              quick: bool = False,
               isolate: bool = True,
               n_workers: int = N_WORKERS,
               shards: int | None = None,
               shard_window: float | None = None,
               repeats: int = 1,
-              log=None) -> ScaleReport:
-    """Sweep every (workload, size) pair into a :class:`ScaleReport`.
+              log=None) -> list[ScaleRunResult]:
+    """Measure every (workload, size) pair, sizes outermost.
 
     ``isolate`` forks each run (POSIX) so per-run peak RSS is accurate;
     in-process fallback keeps the harness usable everywhere.
@@ -280,8 +278,7 @@ def run_scale(sizes: tuple[int, ...],
             raise KeyError(f"unknown workload {name!r}; "
                            f"have {sorted(WORKLOADS)}")
     can_fork = isolate and sys.platform != "win32"
-    report = ScaleReport(
-        python=".".join(map(str, sys.version_info[:3])), quick=quick)
+    results = []
     for ces in sizes:
         for name in names:
             if log is not None:
@@ -298,13 +295,13 @@ def run_scale(sizes: tuple[int, ...],
                         shard_window=shard_window))
             runs.sort(key=lambda r: r.events_per_sec)
             result = runs[len(runs) // 2]
-            report.results.append(result)
+            results.append(result)
             if log is not None:
                 log(f"  {result.wall_seconds:8.2f}s wall   "
                     f"{result.ces_per_sec:10,.0f} CEs/s   "
                     f"{result.events_per_sec:12,.0f} events/s   "
                     f"{result.peak_rss_mib:7.1f} MiB peak")
-    return report
+    return results
 
 
 # -- engine microbenchmark -----------------------------------------------------
@@ -312,6 +309,10 @@ def run_scale(sizes: tuple[int, ...],
 #: Deliveries churned by :func:`run_engine_microbench` — half through
 #: Timeout callbacks, half through ``schedule_call`` chains.
 ENGINE_MICROBENCH_EVENTS = 400_000
+#: The engine row's absolute events/s floor: about 40 % of the rate on
+#: the host that recorded the baseline, far below noise and far above
+#: any real engine regression.
+ENGINE_FLOOR = 250_000
 
 
 def run_engine_microbench(events: int = ENGINE_MICROBENCH_EVENTS,
@@ -323,9 +324,9 @@ def run_engine_microbench(events: int = ENGINE_MICROBENCH_EVENTS,
     churn timeouts two ways — Timeout events with a callback (the Event
     lane) for the first half of the deliveries, ``schedule_call`` chains
     for the second half — so a slowdown in either lane moves the number.
-    Reported as a pseudo-workload row (``workload="engine"``,
-    ``ces=events``) so the relative ``check_regression`` gate covers it
-    automatically.
+    Reported as a pseudo-workload run (``workload="engine"``,
+    ``size=events``), so its row meets the baseline's ``engine@400000``
+    row and :data:`ENGINE_FLOOR`.
     """
     from repro.sim import Engine
 
@@ -352,6 +353,7 @@ def run_engine_microbench(events: int = ENGINE_MICROBENCH_EVENTS,
     churned = engine.events_processed
     return ScaleRunResult(
         workload="engine",
+        size=events,
         ces=events,
         wall_seconds=wall,
         sim_seconds=engine.now,
@@ -454,79 +456,3 @@ def _source_line(frame) -> str:
     name = frame.filename.replace("\\", "/")
     cut = name.rfind("/repro/")
     return f"{name[cut + 1:] if cut >= 0 else name}:{frame.lineno}"
-
-
-# -- profiling -----------------------------------------------------------------
-
-def profile_run(workload: str, ces: int, *, top: int = 25,
-                n_workers: int = N_WORKERS,
-                shards: int | None = None,
-                shard_window: float | None = None) -> list[dict]:
-    """cProfile one in-process run; top-``top`` functions by total time.
-
-    Rows are plain dicts (function, file:line, ncalls, tottime, cumtime)
-    ready for the ``profile`` section of ``BENCH_scale.json`` — a
-    shareable where-does-the-time-go capture alongside the numbers.
-    """
-    import cProfile
-    import pstats
-
-    prof = cProfile.Profile()
-    prof.enable()
-    try:
-        run_scale_once(workload, ces, n_workers=n_workers, shards=shards,
-                       shard_window=shard_window)
-    finally:
-        prof.disable()
-    stats = pstats.Stats(prof)
-    stats.sort_stats("tottime")
-    rows = []
-    for func in stats.fcn_list[:top]:
-        cc, nc, tt, ct, _callers = stats.stats[func]
-        filename, line, name = func
-        rows.append({
-            "function": name,
-            "file": f"{filename}:{line}",
-            "ncalls": nc,
-            "tottime": round(tt, 4),
-            "cumtime": round(ct, 4),
-        })
-    return rows
-
-
-# -- regression gate -----------------------------------------------------------
-
-def check_regression(baseline: dict, current: dict, *,
-                     factor: float = 2.0) -> list[str]:
-    """Compare two ``grout-bench-scale/1`` payloads; returns failures.
-
-    Runs are matched on (workload, ces, shards) — a sharded row is a
-    different measurement than a single-process one (its event count
-    covers the controller engine only) and must only ever gate against a
-    sharded baseline.  A matched pair fails when events/sec dropped
-    below ``1/factor`` of the baseline's; wall-clock is reported
-    alongside for context (it tracks events/sec for a fixed workload,
-    but events/sec is the machine-height-independent form).  Pairs only
-    one side has are ignored — quick runs check a subset of the
-    committed sweep.
-    """
-    def index(payload: dict) -> dict:
-        return {(r["workload"], r["ces"], r.get("shards", 0)): r
-                for r in payload.get("results", [])}
-
-    base, cur = index(baseline), index(current)
-    failures = []
-    for key in sorted(set(base) & set(cur)):
-        b, c = base[key], cur[key]
-        if c["events_per_sec"] * factor < b["events_per_sec"]:
-            name = f"{key[0]}@{key[1]}" + (
-                f"/shards{key[2]}" if key[2] else "")
-            failures.append(
-                f"{name}: {c['events_per_sec']:,.0f} events/s vs "
-                f"baseline {b['events_per_sec']:,.0f} "
-                f"(> {factor:g}x regression; wall "
-                f"{c['wall_seconds']:.2f}s vs {b['wall_seconds']:.2f}s)")
-    if not set(base) & set(cur):
-        failures.append("no overlapping (workload, ces, shards) tuples "
-                        "between baseline and current run")
-    return failures

@@ -69,7 +69,6 @@ class RuntimeConfig:
     # -- runtime / controller knobs --------------------------------------------
     policy: "Policy | str" = "vector-step"
     level: "ExplorationLevel | str" = "medium"
-    max_streams_per_gpu: int = 4
     chunk_bytes: int | None = None
     collectives: bool = False
     fair_share_window: int = 32
@@ -254,9 +253,8 @@ class RuntimeConfig:
         """Construct the configured runtime, fault plan armed.
 
         ``mode == "grcuda"`` returns the single-node baseline: one node
-        of ``gpus_per_worker`` GPUs (``gpu_spec``) with up to
-        ``max_streams_per_gpu`` streams each (:data:`GROUT_ONLY` knobs
-        were refused when the config was built).  ``"grout"`` builds the
+        of ``gpus_per_worker`` GPUs (``gpu_spec``; :data:`GROUT_ONLY`
+        knobs were refused when the config was built).  ``"grout"`` builds the
         cluster (unless one is passed in), the policy (``workload`` feeds
         ``vector-step``) and the distributed runtime.  ``footprint_bytes``
         sizes the adaptive UVM granule when ``page_size`` is unset.
@@ -268,9 +266,7 @@ class RuntimeConfig:
             kwargs = self.cluster_kwargs(footprint_bytes)
             node = dataclasses.replace(
                 PAPER_WORKER, n_gpus=kwargs.pop("gpus_per_worker"))
-            return GrCudaRuntime(
-                spec=node, max_streams_per_gpu=self.max_streams_per_gpu,
-                **kwargs)
+            return GrCudaRuntime(spec=node, **kwargs)
         from repro.core.runtime import GroutRuntime
         if cluster is None:
             cluster = self.build_cluster(footprint_bytes)
@@ -337,9 +333,8 @@ class RuntimeConfig:
 
 #: The knobs ``GroutRuntime`` takes as keywords and its ``Controller``
 #: reads; the rest of a config is the cluster's or the builder's.
-RUNTIME_KNOBS = ("max_streams_per_gpu", "chunk_bytes", "collectives",
-                 "fair_share_window", "plan_cache", "shards",
-                 "shard_window")
+RUNTIME_KNOBS = ("chunk_bytes", "collectives", "fair_share_window",
+                 "plan_cache", "shards", "shard_window")
 
 #: Knobs only the distributed runtime reads: ``mode="grcuda"`` refuses
 #: each one set away from its default.  ``policy``, ``level`` and

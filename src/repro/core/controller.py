@@ -37,7 +37,7 @@ from repro.core.pipeline import (AdmissionStage, CoherenceStage,
                                  DataMovementStage, DispatchStage,
                                  FairShareGate, HOST_MEM_BANDWIDTH,
                                  NODE_CRASH, PlacementStage,
-                                 SchedulingPipeline)
+                                 SchedulingPipeline, SchedulingState)
 from repro.core.planner import TransferPlanner
 from repro.core.policies import Policy, SchedulingContext
 
@@ -211,7 +211,6 @@ class Controller:
             getattr(cluster, "metrics", None) or MetricsRegistry())
         self.profiler: CeProfiler | None = getattr(
             cluster, "profiler", None)
-        self._max_streams_per_gpu = config.max_streams_per_gpu
         #: Shard coordinator (conservative-window parallel simulation);
         #: ``None`` in the default single-process mode, which keeps the
         #: event schedule byte-identical to the golden trace.
@@ -227,8 +226,7 @@ class Controller:
         else:
             self.workers: dict[str, IntraNodeScheduler] = {
                 w.name: IntraNodeScheduler(
-                    w, max_streams_per_gpu=config.max_streams_per_gpu,
-                    metrics=self.metrics, profiler=self.profiler)
+                    w, metrics=self.metrics, profiler=self.profiler)
                 for w in cluster.workers
             }
         self.dag = DependencyDag()
@@ -280,8 +278,7 @@ class Controller:
                            "(the worker partition is fixed at start)")
         node = self.cluster.add_worker()
         self.workers[node.name] = IntraNodeScheduler(
-            node, max_streams_per_gpu=self._max_streams_per_gpu,
-            metrics=self.metrics, profiler=self.profiler)
+            node, metrics=self.metrics, profiler=self.profiler)
         self.context.workers = [w.name for w in self.cluster.workers]
         self.policy.notify_topology_changed(self.context,
                                             added=[node.name])
@@ -430,7 +427,8 @@ class Controller:
         have run for an unfinished CE — kernels execute atomically at
         completion time — so re-execution is numerically safe.  Data
         movement goes through the same staged mover as first executions
-        (:meth:`DataMovementStage.ensure_on_node` with ``reexec_of``).
+        (:meth:`DataMovementStage.ensure_on_node` with ``reexec_of``),
+        and the directory transitions through the same coherence stage.
         """
         old_done = ce.done
         node_name = self.policy.assign(ce, self.context)
@@ -452,14 +450,8 @@ class Controller:
                 pid = state.inflight_producer.get(node_name)
                 if pid is None or pid < ce.ce_id:
                     waits.append(ev)
-        for array in ce.reads:
-            self.directory.record_read(array, ce)
-        for array in ce.writes:
-            invalidated = self.directory.record_write(array, node_name, ce)
-            for victim in invalidated:
-                worker = self.workers.get(victim)
-                if worker is not None:
-                    worker.drop_replica(array)
+        self.pipeline.stage("coherence").process(
+            ce, SchedulingState(ce=ce, node=node_name))
 
         latency = self.cluster.topology.latency(
             self.cluster.controller.name, node_name)

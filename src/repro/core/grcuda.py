@@ -39,7 +39,6 @@ class GrCudaRuntime:
                  uvm_params: UvmModelParams = PAPER_CALIBRATION,
                  prefetch: PrefetchConfig | None = None,
                  eviction_order: str = "lru",
-                 max_streams_per_gpu: int = 4,
                  seed: int = 0,
                  uvm_backend: str | None = None):
         if node is None:
@@ -63,8 +62,7 @@ class GrCudaRuntime:
             MetricsRegistry(clock=lambda: node.engine.now))
         self.profiler = CeProfiler(self.metrics)
         self.scheduler = IntraNodeScheduler(
-            node, max_streams_per_gpu=max_streams_per_gpu,
-            metrics=self.metrics, profiler=self.profiler)
+            node, metrics=self.metrics, profiler=self.profiler)
         self.dag = DependencyDag()
         self._pending: list[Event] = []
         self._scheduled = 0
@@ -111,7 +109,9 @@ class GrCudaRuntime:
         return array
 
     def free(self, array: ManagedArray) -> None:
-        """Release an array from the UVM space and both DAGs."""
+        """Release an array from the UVM space and both DAGs, once its
+        pending accessors completed (``cudaFree`` synchronises)."""
+        self.host_barrier(array)
         uvm = self.node.uvm
         assert uvm is not None
         if uvm.is_registered(array.buffer_id):

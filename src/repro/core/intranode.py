@@ -24,6 +24,12 @@ from repro.core.ce import CeKind, ComputationalElement
 from repro.core.dag import DependencyDag
 from repro.uvm.perfmodel import KernelCost
 
+#: Streams a GPU's pool grows to before submits share the shortest
+#: queue (crash recovery may open more: :meth:`_fresh_stream`).
+MAX_STREAMS_PER_GPU = 4
+#: Completions between two sweeps of the local DAG's finished nodes.
+PRUNE_EVERY = 64
+
 
 def _ce_completed(ce: ComputationalElement) -> bool:
     """Prune predicate: the CE's completion event was delivered."""
@@ -167,18 +173,12 @@ class _PrefetchOp(_CeOp):
 class IntraNodeScheduler:
     """One worker's GPU-stream scheduler (the second hierarchy layer)."""
 
-    def __init__(self, node: Node, *, max_streams_per_gpu: int = 4,
-                 prune_every: int = 64,
+    def __init__(self, node: Node, *,
                  metrics: MetricsRegistry | None = None,
                  profiler: CeProfiler | None = None):
         if not node.has_gpus:
             raise ValueError(f"{node!r} has no GPUs to schedule on")
-        if max_streams_per_gpu < 1:
-            raise ValueError("max_streams_per_gpu must be >= 1")
-        if prune_every < 1:
-            raise ValueError("prune_every must be >= 1")
         self.node = node
-        self.max_streams_per_gpu = max_streams_per_gpu
         self.local_dag = DependencyDag()
         self.profiler = profiler
         self.metrics = install_metrics(metrics) if metrics is not None \
@@ -227,7 +227,6 @@ class IntraNodeScheduler:
         # scheduler.
         self._h_uvm = None
         self._memo_hits_seen = 0
-        self._prune_every = prune_every
         self._completions = 0
         self._pending_load: dict[int, float] = {g.gpu_id: 0.0
                                                 for g in node.gpus}
@@ -415,7 +414,7 @@ class IntraNodeScheduler:
         # throttle it like the controller's periodic prune.  Dependency
         # structure is unaffected: completed non-frontier CEs are inert.
         self._completions += 1
-        if self._completions % self._prune_every == 0:
+        if self._completions % PRUNE_EVERY == 0:
             self.local_dag.prune_completed()
 
     def abort_inflight(self, cause: object = None) -> int:
@@ -484,7 +483,7 @@ class IntraNodeScheduler:
             if tail is None or tail.processed:
                 return stream
         # Grow the pool, then fall back to the shortest queue.
-        if len(gpu.streams) < self.max_streams_per_gpu:
+        if len(gpu.streams) < MAX_STREAMS_PER_GPU:
             return gpu.new_stream()
         return min(gpu.streams, key=lambda s: s.ops_enqueued)
 
@@ -495,7 +494,8 @@ class IntraNodeScheduler:
 
     def _fresh_stream(self, gpu: Gpu) -> Stream:
         """A stream with no pending tail — new if necessary, even past
-        ``max_streams_per_gpu`` (recovery correctness beats the pool cap)."""
+        :data:`MAX_STREAMS_PER_GPU` (recovery correctness beats the pool
+        cap)."""
         for stream in gpu.streams:
             tail = stream.last_completion
             if tail is None or tail.processed:

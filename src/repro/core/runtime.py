@@ -213,7 +213,13 @@ class GroutRuntime:
 
     def free(self, array: ManagedArray) -> None:
         """Drop an array from the coherence directory, the DAGs and every
-        worker."""
+        worker.
+
+        Waits for the array's pending accessors first, as ``cudaFree``
+        synchronises: a queued reader would otherwise register the
+        array on its worker again after the drop.
+        """
+        self.host_barrier(array)
         for worker in self.controller.workers.values():
             worker.drop_replica(array)
             if isinstance(worker, IntraNodeScheduler):

@@ -163,7 +163,7 @@ def _make_replica(spec) -> "ManagedArray":
 # -- the shard process -----------------------------------------------------------
 
 def _shard_main(conn, workers, uvm_params, prefetch, eviction_order,
-                max_streams_per_gpu, uvm_backend=None):
+                uvm_backend=None):
     """One shard: a private engine driving real intra-node schedulers.
 
     ``workers`` is ``[(name, NodeSpec, seed), ...]`` — the replicas are
@@ -191,9 +191,8 @@ def _shard_main(conn, workers, uvm_params, prefetch, eviction_order,
         node = Node(engine, name, spec, tracer=None, uvm_params=uvm_params,
                     prefetch=prefetch, eviction_order=eviction_order,
                     seed=seed, uvm_backend=uvm_backend)
-        schedulers[name] = IntraNodeScheduler(
-            node, max_streams_per_gpu=max_streams_per_gpu,
-            metrics=None, profiler=None)
+        schedulers[name] = IntraNodeScheduler(node, metrics=None,
+                                              profiler=None)
 
     arrays: dict[int, object] = {}
     completions: list[tuple[int, float]] = []
@@ -463,7 +462,6 @@ class ShardCoordinator:
                 target=_shard_main,
                 args=(child, shard.workers, ctrl.cluster._uvm_params,
                       ctrl.cluster._prefetch, ctrl.cluster._eviction_order,
-                      ctrl._max_streams_per_gpu,
                       # Backends cross the fork by *name* — the wire
                       # protocol and process args stay plain data.
                       ctrl.cluster._uvm_backend),

@@ -99,7 +99,8 @@ class TestRefusalTable:
             RuntimeConfig.from_args(argparse.Namespace(**knobs))
 
     def test_deleted_knobs_are_gone(self):
-        for name in ("prune_every", "shard_max_outstanding"):
+        for name in ("prune_every", "shard_max_outstanding",
+                     "max_streams_per_gpu"):
             assert name not in RuntimeConfig.field_names()
             with pytest.raises(TypeError):
                 RuntimeConfig(**{name: 8})
@@ -224,16 +225,13 @@ class TestBuildRuntime:
             assert type(rt).__name__ == "GrCudaRuntime"
             assert [g.spec.name for g in rt.node.gpus] \
                 == [V100_16GB.name] * 2
-            assert rt.scheduler.max_streams_per_gpu == 4
         finally:
             rt.shutdown()
         # The node knobs reach the single-node runtime too.
         rt = RuntimeConfig(mode="grcuda", gpu_spec="TEST_GPU_1GB",
-                           gpus_per_worker=1,
-                           max_streams_per_gpu=1).build_runtime()
+                           gpus_per_worker=1).build_runtime()
         try:
             assert [g.spec for g in rt.node.gpus] == [TEST_GPU_1GB]
-            assert rt.scheduler.max_streams_per_gpu == 1
         finally:
             rt.shutdown()
         with pytest.raises(ValueError, match="grout"):

@@ -37,7 +37,6 @@ DOMAINS = {
     "mode": ("grout", "grcuda"),
     "policy": ("round-robin", "min-transfer-time", "least-loaded"),
     "level": ("medium", "high"),
-    "max_streams_per_gpu": (4, 1),
     "chunk_bytes": (None, MIB),
     "collectives": (False, True),
     "fair_share_window": (32, 2),

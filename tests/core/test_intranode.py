@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import IntraNodeScheduler, ManagedArray
+from repro.core import intranode
 from repro.core.ce import CeKind, ComputationalElement
 from repro.gpu import ArrayAccess, Direction, KernelSpec, LaunchConfig
 from repro.gpu.specs import MIB
@@ -24,8 +25,9 @@ def kernel_ce(kernel, *accesses, label=None):
 
 
 @pytest.fixture
-def sched(test_node):
-    return IntraNodeScheduler(test_node, max_streams_per_gpu=2)
+def sched(test_node, monkeypatch):
+    monkeypatch.setattr(intranode, "MAX_STREAMS_PER_GPU", 2)
+    return IntraNodeScheduler(test_node)
 
 
 class TestValidation:
@@ -41,10 +43,6 @@ class TestValidation:
             kind=CeKind.HOST_READ, accesses=(ArrayAccess(a),))
         with pytest.raises(ValueError):
             sched.submit(host)
-
-    def test_rejects_bad_stream_limit(self, test_node):
-        with pytest.raises(ValueError):
-            IntraNodeScheduler(test_node, max_streams_per_gpu=0)
 
 
 class TestPlacement:
@@ -167,21 +165,19 @@ class TestDagPruneThrottle:
             ce.done = sched.submit(ce)
         engine.run()
 
-    def test_completed_ces_pruned_periodically(self, test_node, engine):
+    def test_completed_ces_pruned_periodically(self, test_node, engine,
+                                               monkeypatch):
         """Regression: the local DAG must not grow for the whole run."""
-        sched = IntraNodeScheduler(test_node, prune_every=4)
+        monkeypatch.setattr(intranode, "PRUNE_EVERY", 4)
+        sched = IntraNodeScheduler(test_node)
         self._chain(sched, engine, 8)
         # Two prunes fired (at 4 and 8); only the frontier CE survives.
         assert len(sched.local_dag.nodes()) == 1
 
     def test_prune_respects_throttle(self, test_node, engine):
-        sched = IntraNodeScheduler(test_node, prune_every=100)
+        sched = IntraNodeScheduler(test_node)
         self._chain(sched, engine, 8)
         assert len(sched.local_dag.nodes()) == 8   # no prune yet
-
-    def test_prune_every_validated(self, test_node):
-        with pytest.raises(ValueError):
-            IntraNodeScheduler(test_node, prune_every=0)
 
 
 class TestRecoveryHooks:

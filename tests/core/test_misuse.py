@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import GrCudaRuntime, GroutRuntime, ManagedArray
+from repro.core import (GrCudaRuntime, GroutRuntime, ManagedArray,
+                        RuntimeConfig)
 from repro.gpu import ArrayAccess, Direction, KernelSpec, TEST_GPU_1GB
 from repro.gpu.specs import MIB
 
@@ -52,6 +53,36 @@ class TestFreeSemantics:
         a = rt.device_array(4, virtual_nbytes=MIB)
         rt.free(a)
         rt.free(a)
+
+    @pytest.mark.parametrize("mode", ["grout", "grcuda"])
+    def test_free_with_queued_readers_leaves_no_bytes(self, mode):
+        """Freeing an input its queued readers still read waits for
+        them (as ``cudaFree`` synchronises), so no reader registers it
+        again: the same managed bytes stay as when freed after sync."""
+        def fan():
+            return KernelSpec("fan", access_fn=lambda args: [
+                ArrayAccess(args[0], Direction.IN),
+                ArrayAccess(args[1], Direction.OUT)])
+
+        def managed_after(free_first: bool) -> list[int]:
+            rt = RuntimeConfig(mode=mode, policy="round-robin").build_runtime()
+            shared = rt.device_array(8, virtual_nbytes=16 * MIB)
+            outs = [rt.device_array(8, virtual_nbytes=4 * MIB)
+                    for _ in range(4)]
+            rt.host_write(shared)
+            for out in outs:
+                rt.launch(fan(), 8, 128, (shared, out))
+            if free_first:
+                rt.free(shared)
+            assert rt.sync()
+            if not free_first:
+                rt.free(shared)
+            nodes = [rt.node] if mode == "grcuda" else rt.cluster.workers
+            managed = [node.uvm.managed_bytes for node in nodes]
+            rt.shutdown()
+            return managed
+
+        assert managed_after(True) == managed_after(False)
 
 
 class TestLaunchValidation:
