@@ -11,10 +11,8 @@ Run:  python examples/montecarlo_pricing.py
 
 import math
 
-import numpy as np
-from scipy import special
-
 from repro import GroutRuntime
+from repro.numerics import erf
 from repro.polyglot import GrOUT, polyglot
 
 KERNEL = """
@@ -60,7 +58,7 @@ def closed_form() -> float:
     d1 = (math.log(S0 / STRIKE)
           + (RATE + 0.5 * VOL ** 2) * MATURITY) / (VOL * sqrt_t)
     d2 = d1 - VOL * sqrt_t
-    cdf = lambda x: 0.5 * (1.0 + special.erf(x / math.sqrt(2.0)))
+    cdf = lambda x: 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     return (S0 * cdf(d1)
             - STRIKE * math.exp(-RATE * MATURITY) * cdf(d2))
 

@@ -2,10 +2,11 @@
 """End-to-end smoke of the ``grout serve`` daemon (the CI serve job).
 
 Boots ``python -m repro serve`` as a subprocess on an ephemeral port,
-waits for the readiness line, submits two registry workload specs over
-plain HTTP (``mv``, then ``bs``, whose first run makes the daemon load
-SciPy), validates each grout-serve/1 run-report, asks the daemon to
-shut down, and asserts a clean exit — all within a hard timeout.
+waits for the readiness line, submits three registry workload specs
+over plain HTTP (``mv``, then ``bs`` and ``img``, which run the NumPy
+``erf`` and stencils of :mod:`repro.numerics`), requires each
+grout-serve/1 run-report to be completed and verified, asks the daemon
+to shut down, and asserts a clean exit — all within a hard timeout.
 
 Exit code 0 on success; non-zero with a diagnostic otherwise.
 """
@@ -23,7 +24,8 @@ import urllib.request
 BOOT_TIMEOUT = 60          # seconds to wait for the readiness line
 EXIT_TIMEOUT = 60          # seconds to wait for a clean exit
 SPECS = ({"workload": "mv", "gb": 0.125, "tenant": "smoke"},
-         {"workload": "bs", "gb": 0.125, "tenant": "smoke"})
+         {"workload": "bs", "gb": 0.125, "tenant": "smoke"},
+         {"workload": "img", "gb": 0.125, "tenant": "smoke"})
 
 REPORT_KEYS = {"schema", "ticket", "tenant", "session", "workload",
                "footprint_bytes", "ce_count", "submitted_at",

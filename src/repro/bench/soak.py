@@ -23,9 +23,9 @@ pairs, one per tenant, both in flight at once and settled by the pump:
 Every ``every`` requests, with nothing in flight, the probe yields a
 :class:`SoakSample` of what the runtime still holds; the caller may
 time the host between samples.  :func:`soak_problems` states the
-bar: what a settled request owned is gone, and what swings with the
-prune cadence stays under a ceiling that does not grow with the request
-count.
+bar: what a settled request owned is gone, what swings with the prune
+cadence stays under a ceiling that does not grow with the request
+count, and the pricers' page-plan caches stay under a fixed ceiling.
 """
 
 from __future__ import annotations
@@ -37,9 +37,12 @@ import time
 from dataclasses import dataclass, fields
 from typing import Iterator
 
+from repro.uvm.perfmodel import PLAN_CACHE_CAP
+
 __all__ = ["SOAK_HOT", "SOAK_COLD_WORKLOADS", "SOAK_COLD_MIB",
-           "SOAK_EMPTY", "SOAK_BOUNDED", "SoakSample", "cold_specs",
-           "settle_pair", "serve_soak", "soak_problems", "format_samples"]
+           "SOAK_EMPTY", "SOAK_BOUNDED", "SOAK_PLAN_ENTRIES", "SoakSample",
+           "cold_specs", "settle_pair", "serve_soak", "soak_problems",
+           "format_samples"]
 
 SOAK_HOT = {"workload": "mv", "gb": 1, "n_chunks": 4, "seed": 11,
             "tenant": "hot"}
@@ -57,6 +60,11 @@ SOAK_EMPTY = ("spans", "profiles", "tickets", "directory",
 #: hundreds; gc-tracked objects swing with them, by a smaller share.
 SOAK_BOUNDED = {"controller_dag": 1.5, "worker_dag": 1.5, "arrays": 1.5,
                 "shared_series": 1.0, "gc_objects": 1.25}
+#: Ceiling on ``plan_entries``: the service's four pricers (two workers
+#: of two GPUs) at their cap each.  Every cold request brings new
+#: buffer sizes, so without the cap the soak holds 268 plans after 120
+#: requests and more after every request.
+SOAK_PLAN_ENTRIES = 4 * PLAN_CACHE_CAP
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,6 +85,7 @@ class SoakSample:
     arrays: int               # live ManagedArray objects
     shared_series: int        # registry children without a session label
     session_series: int       # registry children with one
+    plan_entries: int         # page plans cached, summed over pricers
     gc_objects: int           # the collector's tracked objects
 
 
@@ -149,6 +158,9 @@ def serve_soak(requests: int, *, every: int) -> Iterator[SoakSample]:
                 arrays=sum(1 for o in objects if type(o) is ManagedArray),
                 shared_series=series[0],
                 session_series=series[1],
+                plan_entries=sum(len(dev.pricer._plan_cache)
+                                 for w in workers
+                                 for dev in w.node.uvm._devices.values()),
                 gc_objects=len(objects),
             )
             del objects
@@ -162,7 +174,8 @@ def soak_problems(samples: list[SoakSample]) -> list[str]:
 
     Each :data:`SOAK_EMPTY` field reads zero at every sample.  Each
     :data:`SOAK_BOUNDED` field's second-half maximum is at most its
-    factor times its first-half maximum.  Session-labelled series are
+    factor times its first-half maximum.  ``plan_entries`` stays at or
+    under :data:`SOAK_PLAN_ENTRIES`.  Session-labelled series are
     pinned at what a settled session keeps: one
     ``grout_session_ces_scheduled_total`` and one
     ``grout_session_sync_seconds_total`` child, plus a
@@ -175,6 +188,10 @@ def soak_problems(samples: list[SoakSample]) -> list[str]:
             if getattr(s, name):
                 problems.append(f"{name} = {getattr(s, name)} after "
                                 f"{s.requests} requests, expected 0")
+        if s.plan_entries > SOAK_PLAN_ENTRIES:
+            problems.append(f"{s.plan_entries} page plans cached after "
+                            f"{s.requests} requests, ceiling "
+                            f"{SOAK_PLAN_ENTRIES}")
         if not 2 * s.requests <= s.session_series <= 3 * s.requests:
             problems.append(f"{s.session_series} session series after "
                             f"{s.requests} requests, expected 2-3 per "

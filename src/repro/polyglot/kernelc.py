@@ -28,6 +28,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.numerics import erf
+
 
 class KernelSyntaxError(ValueError):
     """Raised when a kernel source leaves the supported subset."""
@@ -791,25 +793,19 @@ def _static_trip_count(loop: For) -> float:
 # SPMD NumPy interpreter
 # --------------------------------------------------------------------------
 
-def _erf(x):
-    # SciPy loads on the first kernel that calls erf, not with the module.
-    from scipy import special
-    return special.erf(x)
-
-
 _MATH_FUNCS: dict[str, Callable] = {
     "exp": np.exp, "expf": np.exp, "log": np.log, "logf": np.log,
     "sqrt": np.sqrt, "sqrtf": np.sqrt, "fabs": np.abs, "fabsf": np.abs,
     "abs": np.abs, "pow": np.power, "powf": np.power,
-    "erf": _erf, "erff": _erf,
+    "erf": erf, "erff": erf,
     "fmax": np.maximum, "fmaxf": np.maximum,
     "fmin": np.minimum, "fminf": np.minimum,
     "max": np.maximum, "min": np.minimum,
     "sin": np.sin, "sinf": np.sin, "cos": np.cos, "cosf": np.cos,
     "tanh": np.tanh, "tanhf": np.tanh,
     "floor": np.floor, "ceil": np.ceil,
-    "normcdf": lambda x: 0.5 * (1.0 + _erf(np.asarray(x) / math.sqrt(2.0))),
-    "normcdff": lambda x: 0.5 * (1.0 + _erf(np.asarray(x) / math.sqrt(2.0))),
+    "normcdf": lambda x: 0.5 * (1.0 + erf(np.asarray(x) / math.sqrt(2.0))),
+    "normcdff": lambda x: 0.5 * (1.0 + erf(np.asarray(x) / math.sqrt(2.0))),
 }
 
 

@@ -21,6 +21,7 @@ launch fits.
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,11 @@ class _BufferPlan:
     passes: float
 
 
-#: Bound on the pricer's memoized plans (full-sweep workloads revisit a
-#: handful of keys; the cap only guards pathological key churn).
-_PLAN_CACHE_CAP = 4096
+#: Bound on each pricer's memoized plans, least recently used out
+#: first.  A request's launches revisit a handful of keys (a Fig. 7 run
+#: uses 3-5 per pricer); a long-lived service's cold requests bring
+#: buffer sizes that never return, and the cap lets their plans age out.
+PLAN_CACHE_CAP = 64
 
 
 def _seed_free(access: ArrayAccess, page_size: int) -> bool:
@@ -124,7 +127,7 @@ def _build_plan(group: list[ArrayAccess], page_size: int,
 def _plan_buffers(accesses: tuple[ArrayAccess, ...], page_size: int,
                   seed: int,
                   ordinals: dict[int, int] | None = None,
-                  cache: dict | None = None
+                  cache: OrderedDict | None = None
                   ) -> list[tuple[int, _BufferPlan]]:
     """Group a launch's accesses by buffer, merging page sets; returns
     ``(buffer_id, plan)`` pairs in first-use order.
@@ -136,10 +139,11 @@ def _plan_buffers(accesses: tuple[ArrayAccess, ...], page_size: int,
     full-buffer accesses thousands of times, and the resulting plan —
     pages array included — is identical every launch.  Such a plan
     depends only on the buffer's page count and the access shapes, so
-    that is the key: buffers of one size share an entry, and a
-    long-lived service's departed buffers leave nothing behind.
-    Consumers only read the pages array (fancy indexing), so sharing it
-    is safe.
+    that is the key: buffers of one size share an entry.  The cache
+    keeps the :data:`PLAN_CACHE_CAP` most recently used plans, so the
+    sizes of a long-lived service's departed buffers age out instead of
+    piling up.  Consumers only read the pages array (fancy indexing), so
+    sharing it is safe.
     """
     grouped: dict[int, list[ArrayAccess]] = {}
     for access in accesses:
@@ -155,8 +159,11 @@ def _plan_buffers(accesses: tuple[ArrayAccess, ...], page_size: int,
             plan = cache.get(key)
             if plan is None:
                 plan = _build_plan(group, page_size, seed, entropy)
-                if len(cache) < _PLAN_CACHE_CAP:
-                    cache[key] = plan
+                cache[key] = plan
+                if len(cache) > PLAN_CACHE_CAP:
+                    cache.popitem(last=False)
+            else:
+                cache.move_to_end(key)
             plans.append((buffer_id, plan))
             continue
         plans.append((buffer_id,
@@ -185,8 +192,9 @@ class KernelPricer:
         #: live buffer keeps its ordinal.
         self._ordinals: dict[int, int] = {}
         self._ordinals_seen = 0
-        #: Memoized seed-independent buffer plans (see _plan_buffers).
-        self._plan_cache: dict[tuple, _BufferPlan] = {}
+        #: Memoized seed-independent buffer plans, LRU-bounded by
+        #: ``PLAN_CACHE_CAP`` (see _plan_buffers).
+        self._plan_cache: OrderedDict[tuple, _BufferPlan] = OrderedDict()
 
     def number(self, buffer_id: int) -> None:
         """Give a buffer its first-use ordinal, once."""

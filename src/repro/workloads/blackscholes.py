@@ -17,6 +17,7 @@ from repro.gpu.kernel import (
     Direction,
     KernelSpec,
 )
+from repro.numerics import erf
 from repro.workloads.base import Workload, real_elements
 
 RISK_FREE = 0.05
@@ -26,10 +27,11 @@ VOLATILITY = 0.30
 FLOPS_PER_OPTION = 85.0
 
 
-def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    # SciPy loads on first call, so runs that price no options skip it.
-    from scipy import special
-    return 0.5 * (1.0 + special.erf(x / math.sqrt(2.0)))
+def _norm_cdf_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(Phi(x), Phi(-x))`` from one ``erf`` call: ``erf`` is exactly
+    odd, so ``0.5 * (1 - erf(x / sqrt 2))`` is ``Phi(-x)`` bit for bit."""
+    e = erf(x / math.sqrt(2.0))
+    return 0.5 * (1.0 + e), 0.5 * (1.0 - e)
 
 
 def black_scholes_reference(spot: np.ndarray, strike: np.ndarray,
@@ -41,8 +43,10 @@ def black_scholes_reference(spot: np.ndarray, strike: np.ndarray,
         / (VOLATILITY * sqrt_t)
     d2 = d1 - VOLATILITY * sqrt_t
     disc = np.exp(-RISK_FREE * tmat)
-    call = spot * _norm_cdf(d1) - strike * disc * _norm_cdf(d2)
-    put = strike * disc * _norm_cdf(-d2) - spot * _norm_cdf(-d1)
+    cdf_d1, cdf_neg_d1 = _norm_cdf_pair(d1)
+    cdf_d2, cdf_neg_d2 = _norm_cdf_pair(d2)
+    call = spot * cdf_d1 - strike * disc * cdf_d2
+    put = strike * disc * cdf_neg_d2 - spot * cdf_neg_d1
     return call, put
 
 

@@ -4,7 +4,7 @@ Not one of the paper's three evaluation workloads, but the kind of
 multi-stage vision pipeline the GrCUDA suite ships (blur → edges →
 unsharp-mask → combine) and a demonstration that the suite is open:
 five kernels per chunk with a diamond dependency structure, verified
-against a SciPy reference.
+against a NumPy reference that shares the kernels' stencils.
 
 Per image-batch chunk::
 
@@ -27,6 +27,7 @@ from repro.gpu.kernel import (
     Direction,
     KernelSpec,
 )
+from repro.numerics import convolve1d_nearest, sobel_nearest
 from repro.workloads.base import FOOTPRINT_FILL, Workload
 
 #: Real backing: a small square image batch per chunk.
@@ -42,20 +43,17 @@ EDGE_WEIGHT = 0.35
 
 
 def _blur_axis(data: np.ndarray, axis: int) -> np.ndarray:
-    # SciPy loads on first call (also in _sobel_mag), not at import.
-    from scipy import ndimage
-    return ndimage.convolve1d(data, GAUSS, axis=axis, mode="nearest")
+    return convolve1d_nearest(data, GAUSS, axis)
 
 
 def _sobel_mag(data: np.ndarray) -> np.ndarray:
-    from scipy import ndimage
-    gx = ndimage.sobel(data, axis=-1, mode="nearest")
-    gy = ndimage.sobel(data, axis=-2, mode="nearest")
+    gx = sobel_nearest(data, -1)
+    gy = sobel_nearest(data, -2)
     return np.sqrt(gx * gx + gy * gy)
 
 
 def reference_pipeline(x: np.ndarray) -> np.ndarray:
-    """The NumPy/SciPy oracle of one chunk's full pipeline."""
+    """The NumPy oracle of one chunk's full pipeline."""
     blur = _blur_axis(_blur_axis(x, -1), -2)
     sobel = _sobel_mag(blur)
     sharpen = np.clip(x + SHARPEN_AMOUNT * (x - blur), 0.0, 1.0)
@@ -202,7 +200,7 @@ class ImagePipeline(Workload):
                                   label=f"img.combine{c}"))
 
     def verify(self) -> bool:
-        """Compare every chunk against the SciPy reference pipeline."""
+        """Compare every chunk against the reference pipeline."""
         for chunk in self.chunks:
             expected = reference_pipeline(chunk["x"].data)
             if not np.allclose(chunk["out"].data, expected,

@@ -8,8 +8,10 @@ open tickets, Directory entries, queued engine deliveries and managed
 bytes read zero at every sample; DAG nodes, live arrays, shared metric
 series and gc-tracked objects stay under a ceiling that does not grow
 with the request count (second-half maximum against first-half
-maximum); session-labelled series stay at two or three per settled
-session.  The rule is relative, so it holds on every interpreter as is.
+maximum); the pricers' page-plan caches stay under their fixed
+ceiling; session-labelled series stay at two or three per settled
+session.  The rules are relative or follow from the cache's cap, so they
+hold on every interpreter as is.
 ``benchmarks/bench_serve_soak.py`` runs the same probe over 1,440
 requests and also checks throughput.
 """

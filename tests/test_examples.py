@@ -1,5 +1,7 @@
-"""Smoke tests: every example script runs cleanly end to end."""
+"""Smoke tests: every example script runs cleanly end to end, on NumPy
+alone (a stub first on the path makes ``import scipy`` fail)."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -17,12 +19,25 @@ BUDGETS = {
 }
 
 
+@pytest.fixture
+def without_scipy(tmp_path):
+    """An environment in which ``import scipy`` fails, as if SciPy were
+    not installed."""
+    stub = tmp_path / "scipy"
+    stub.mkdir()
+    (stub / "__init__.py").write_text(
+        "raise ModuleNotFoundError('examples run without SciPy')\n")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(tmp_path)] + ([path] if path else []))}
+
+
 @pytest.mark.parametrize("script", EXAMPLES, ids=[s.name for s in EXAMPLES])
-def test_example_runs(script):
+def test_example_runs(script, without_scipy):
     timeout = BUDGETS.get(script.name, 120)
     proc = subprocess.run(
         [sys.executable, str(script)],
-        capture_output=True, text=True, timeout=timeout)
+        capture_output=True, text=True, timeout=timeout, env=without_scipy)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip(), "example produced no output"
 

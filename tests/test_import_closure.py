@@ -1,13 +1,14 @@
-"""Import-closure gate: SciPy loads only where it is called.
+"""Import-closure gate: nothing under ``src/repro`` loads SciPy.
 
-The paper's Fig. 7 runs (MV, CG, MLE) and a freshly started
-``grout serve`` never call SciPy, so importing the package, building a
-service and running those workloads must leave it unloaded; ``bs``,
-``img`` and a kernel-C ``normcdf`` load it on first use.  Each case
-starts a fresh interpreter with ``PYTHONPATH=src`` and checks module
-names only, never times.  A last check keeps ``pyproject.toml``'s
-runtime dependencies equal to the third-party packages ``src/repro``
-imports.
+Importing the package, building a ``grout serve`` service, running the
+paper's Fig. 7 workloads (MV, CG, MLE), verifying ``bs`` and ``img``,
+running a kernel-C kernel that calls ``normcdf`` and ``erf``, and
+settling ``bs`` and ``img`` requests on a service must all leave SciPy
+unloaded: their special function and stencils come from
+:mod:`repro.numerics`, on NumPy alone.  Each case starts a fresh
+interpreter with ``PYTHONPATH=src`` and checks module names only, never
+times.  A last check keeps ``pyproject.toml``'s runtime dependencies
+equal to the third-party packages ``src/repro`` imports.
 """
 
 from __future__ import annotations
@@ -63,29 +64,44 @@ def test_fig7_workloads_run_without_scipy():
     assert loaded == [], f"a Fig. 7 run loaded SciPy: {loaded[:5]}"
 
 
-def test_scipy_loads_on_first_use():
+def test_bs_img_kernelc_and_served_requests_run_without_scipy():
     loaded = _scipy_modules_after("""
-        import math, sys
+        import math
         import numpy as np
         from repro.bench.harness import run_grout
         from repro.gpu.specs import GIB
         from repro.polyglot import KernelInterpreter, parse_kernel
-        assert "scipy" not in sys.modules
+        from repro.serve import GroutService
         for name in ("bs", "img"):
             res = run_grout(name, GIB // 4, check=True)
             assert res.completed and res.verified, name
         x = np.linspace(-3.0, 3.0, 64)
-        out = np.zeros_like(x)
+        cdf, err = np.zeros_like(x), np.zeros_like(x)
         KernelInterpreter(parse_kernel('''
-            __global__ void cdf(const double* x, double* out, int n) {
+            __global__ void cdf(const double* x, double* cdf, double* err,
+                                int n) {
                 int i = blockIdx.x * blockDim.x + threadIdx.x;
-                if (i < n) out[i] = normcdf(x[i]);
+                if (i < n) {
+                    cdf[i] = normcdf(x[i]);
+                    err[i] = erf(x[i]);
+                }
             }
-        ''')).run((2,), (32,), (x, out, 64))
+        ''')).run((2,), (32,), (x, cdf, err, 64))
         want = [0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x]
-        assert np.allclose(out, want, rtol=0.0, atol=1e-12)
+        assert np.allclose(cdf, want, rtol=0.0, atol=1e-12)
+        assert np.allclose(err, [math.erf(v) for v in x], rtol=0.0,
+                           atol=1e-14)
+        service = GroutService()
+        tickets = [service.submit({"workload": name, "gb": 0.125,
+                                   "tenant": "t"}) for name in ("bs", "img")]
+        while not all(t.finalized for t in tickets):
+            service.pump()
+        for ticket in tickets:
+            assert ticket.report["completed"] and ticket.report["verified"]
+        service.close()
     """)
-    assert "scipy" in loaded
+    assert loaded == [], (
+        f"bs, img, kernel C or a service loaded SciPy: {loaded[:5]}")
 
 
 def _declared_dependencies() -> set[str]:

@@ -20,6 +20,7 @@ from repro.uvm import (
     PAPER_CALIBRATION,
     PrefetchConfig,
 )
+from repro.uvm.perfmodel import PLAN_CACHE_CAP
 
 SPEC = TEST_GPU_1GB.with_page_size(1 * MIB)
 
@@ -205,3 +206,42 @@ class TestPlanCache:
             table.unregister(access.buffer.buffer_id)
             sizes.append(len(pricer._plan_cache))
         assert sizes == [1] * 40
+
+    @staticmethod
+    def _price_size(pricer, table, pages):
+        """Price one fresh full-sweep buffer of ``pages`` pages, then
+        drop it, as a settled request drops its buffers."""
+        access = ArrayAccess(Buf(pages * MIB), Direction.IN)
+        register(table, access)
+        pricer.price(launch_for(access), pressure=0.1)
+        table.unregister(access.buffer.buffer_id)
+
+    @staticmethod
+    def _cached_sizes(pricer):
+        return [key[0] for key in pricer._plan_cache]
+
+    def test_cache_never_passes_its_cap(self):
+        """A service's cold requests bring sizes that never return; the
+        oldest plans age out instead of piling up."""
+        pricer, table = make_pricer()
+        sizes = []
+        for pages in range(1, PLAN_CACHE_CAP + 21):
+            self._price_size(pricer, table, pages)
+            sizes.append(len(pricer._plan_cache))
+        assert max(sizes) == PLAN_CACHE_CAP
+        assert sizes[-1] == PLAN_CACHE_CAP
+        assert self._cached_sizes(pricer) == list(
+            range(21, PLAN_CACHE_CAP + 21))
+
+    def test_a_hit_refreshes_its_entry(self):
+        pricer, table = make_pricer()
+        for pages in range(1, PLAN_CACHE_CAP + 1):
+            self._price_size(pricer, table, pages)
+        plan = pricer._plan_cache[next(iter(pricer._plan_cache))]
+        self._price_size(pricer, table, 1)       # a hit on the oldest
+        assert self._cached_sizes(pricer)[-1] == 1
+        self._price_size(pricer, table, PLAN_CACHE_CAP + 1)
+        cached = self._cached_sizes(pricer)
+        assert 1 in cached and 2 not in cached
+        assert len(cached) == PLAN_CACHE_CAP
+        assert any(p is plan for p in pricer._plan_cache.values())
