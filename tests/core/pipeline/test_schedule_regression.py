@@ -38,14 +38,15 @@ def _kernel(name, directions):
     return KernelSpec(name, flops_per_byte=2.0, access_fn=access_fn)
 
 
-def drive(rt: GroutRuntime) -> None:
+def drive(rt: GroutRuntime, prefetch_worker: str | None = "worker1") -> None:
     """A deterministic program exercising every scheduling phase.
 
     Host writes (controller CEs), a shared read-only input consumed by a
     fan of kernels (broadcast-shaped replication), a RAW/WAW chain on one
     buffer (coherence invalidations + P2P), a user-directed prefetch and
     closing host reads — all with explicit labels so the recorded spans
-    never depend on global CE-id numbering.
+    never depend on global CE-id numbering.  ``prefetch_worker=None``
+    leaves the prefetch's placement to the runtime.
     """
     shared = rt.device_array(8, np.float32, virtual_nbytes=48 * MIB,
                              name="g.shared")
@@ -66,7 +67,8 @@ def drive(rt: GroutRuntime) -> None:
     for i, out in enumerate(outs):
         rt.launch(chain, 8, 128, (accum, out), label=f"g.chain{i}")
 
-    rt.prefetch(shared, worker="worker1", label="g.prefetch")
+    pin = {} if prefetch_worker is None else {"worker": prefetch_worker}
+    rt.prefetch(shared, label="g.prefetch", **pin)
     tail = _kernel("tail", (Direction.IN, Direction.INOUT))
     rt.launch(tail, 8, 128, (shared, accum), label="g.tail")
 
