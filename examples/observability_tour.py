@@ -66,7 +66,7 @@ def main() -> None:
           "open in chrome://tracing or Perfetto)")
     print(f"wrote {report_path} (schema {report['schema']}: "
           f"{len(report['metrics']['metrics'])} metric families, "
-          f"{report['summary']['ces_scheduled']} CEs profiled)")
+          f"{report['summary']['ces_scheduled']} CEs scheduled)")
 
 
 if __name__ == "__main__":

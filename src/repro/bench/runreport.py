@@ -97,40 +97,24 @@ def report_for(runtime) -> RunReport:
         report.makespan_seconds = tracer.makespan()
         report.busy_by_category = time_breakdown(tracer)
 
+    report.ces_scheduled = runtime.ces_submitted
+    gib = 1024 ** 3
+    for node in runtime.nodes:
+        report.node_oversubscription[node.name] = node.oversubscription()
+        if node.uvm is not None:
+            report.uvm_link_gib[node.name] = node.uvm.stats.link_bytes / gib
+            report.thrashing_launches += node.uvm.stats.thrashing_launches
     controller = getattr(runtime, "controller", None)
-    if controller is not None:     # GrOUT
+    if controller is not None:     # GrOUT's network and decisions
         stats = controller.stats
-        report.ces_scheduled = stats.ces_scheduled
         report.mean_decision_micros = stats.mean_decision_seconds * 1e6
         fabric = runtime.cluster.fabric
         report.network_bytes = fabric.bytes_moved
         report.network_transfers = fabric.transfer_count
         report.p2p_transfers = stats.p2p_transfers
-        report.node_oversubscription = {
-            w.name: w.oversubscription()
-            for w in runtime.cluster.workers}
-        gib = 1024 ** 3
-        for w in runtime.cluster.workers:
-            if w.uvm is not None:
-                report.uvm_link_gib[w.name] = \
-                    w.uvm.stats.link_bytes / gib
-                report.thrashing_launches += \
-                    w.uvm.stats.thrashing_launches
-        schedulers = controller.workers.values()
-    else:                          # GrCUDA
-        node = runtime.node
-        report.node_oversubscription = {
-            node.name: node.oversubscription()}
-        if node.uvm is not None:
-            report.uvm_link_gib[node.name] = \
-                node.uvm.stats.link_bytes / 1024 ** 3
-            report.thrashing_launches = \
-                node.uvm.stats.thrashing_launches
-        report.ces_scheduled = runtime.dag.size
-        schedulers = [runtime.scheduler]
 
     totals: dict[str, tuple[int, float]] = {}
-    for scheduler in schedulers:
+    for scheduler in runtime.workers.values():
         for name, (count, seconds) in scheduler.kernel_totals.items():
             have_count, have_seconds = totals.get(name, (0, 0.0))
             totals[name] = (have_count + count, have_seconds + seconds)

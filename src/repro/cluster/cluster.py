@@ -133,6 +133,19 @@ class Cluster:
         return f"<Cluster workers={self.n_workers}>"
 
 
+def paper_worker_spec(gpus_per_worker: int = 2,
+                      gpu_spec: GpuSpec | None = None,
+                      page_size: int | None = None) -> NodeSpec:
+    """One GPU node of §V-A: ``gpus_per_worker`` GPUs of ``gpu_spec``
+    (the paper's V100s by default), the paper worker's RAM and NIC."""
+    spec = gpu_spec if gpu_spec is not None else PAPER_WORKER.gpu_spec
+    assert spec is not None
+    if page_size is not None:
+        spec = spec.with_page_size(page_size)
+    return NodeSpec(gpu_spec=spec, n_gpus=gpus_per_worker,
+                    ram_bytes=PAPER_WORKER.ram_bytes, nic=PAPER_WORKER.nic)
+
+
 def paper_cluster(n_workers: int, *,
                   engine: Engine | None = None,
                   gpus_per_worker: int = 2,
@@ -150,13 +163,7 @@ def paper_cluster(n_workers: int, *,
     byte-level cost.
     """
     engine = engine if engine is not None else Engine()
-    spec = gpu_spec if gpu_spec is not None else PAPER_WORKER.gpu_spec
-    assert spec is not None
-    if page_size is not None:
-        spec = spec.with_page_size(page_size)
-    worker = NodeSpec(gpu_spec=spec, n_gpus=gpus_per_worker,
-                      ram_bytes=PAPER_WORKER.ram_bytes,
-                      nic=PAPER_WORKER.nic)
+    worker = paper_worker_spec(gpus_per_worker, gpu_spec, page_size)
     return Cluster(engine, worker_specs=[worker] * n_workers,
                    uvm_params=uvm_params, prefetch=prefetch,
                    eviction_order=eviction_order, seed=seed,

@@ -226,7 +226,8 @@ class RuntimeConfig:
     # -- builders --------------------------------------------------------------
 
     def cluster_kwargs(self, footprint_bytes: int | None = None) -> dict:
-        """Keyword arguments for :func:`repro.cluster.paper_cluster`."""
+        """Keyword arguments for :func:`repro.cluster.paper_cluster`,
+        which :class:`~repro.core.grcuda.GrCudaRuntime` takes too."""
         page_size = self.page_size
         if page_size is None and footprint_bytes is not None:
             page_size = page_size_for(footprint_bytes)
@@ -260,13 +261,8 @@ class RuntimeConfig:
         sizes the adaptive UVM granule when ``page_size`` is unset.
         """
         if self.mode == "grcuda":
-            from repro.cluster.node import PAPER_WORKER
             from repro.core.grcuda import GrCudaRuntime
-            # The one node takes the knobs a grout worker node takes.
-            kwargs = self.cluster_kwargs(footprint_bytes)
-            node = dataclasses.replace(
-                PAPER_WORKER, n_gpus=kwargs.pop("gpus_per_worker"))
-            return GrCudaRuntime(spec=node, **kwargs)
+            return GrCudaRuntime(**self.cluster_kwargs(footprint_bytes))
         from repro.core.runtime import GroutRuntime
         if cluster is None:
             cluster = self.build_cluster(footprint_bytes)

@@ -1,29 +1,33 @@
-"""The GrOUT runtime facade — what user programs (and the polyglot layer)
-talk to.
+"""The host API both runtimes share, and the GrOUT runtime facade — what
+user programs (and the polyglot layer) talk to.
 
 The execution model mirrors GrCUDA's async scheduler: ``launch`` and
-``host_write`` return immediately after Algorithm 1 runs (the work is wired
-into the simulation), while ``host_read`` and ``sync`` advance simulated
-time until the needed results exist.  Transfer/compute and
-compute/compute overlap therefore falls out of the event wiring, with no
-user involvement — the paper's headline usability claim.
+``host_write`` return immediately after the runtime's scheduler runs (the
+work is wired into the simulation), while ``host_read`` and ``sync``
+advance simulated time until the needed results exist.  Transfer/compute
+and compute/compute overlap therefore falls out of the event wiring, with
+no user involvement — the paper's headline usability claim.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from typing import Callable
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster, paper_cluster
+from repro.cluster.node import Node
 from repro.gpu.kernel import ArrayAccess, Direction, KernelSpec, LaunchConfig
-from repro.sim import Engine, FaultInjector, FaultPlan, SimError, Tracer
+from repro.obs import CeProfiler, MetricsRegistry
+from repro.sim import Engine, Event, FaultInjector, FaultPlan, SimError, Tracer
 from repro.sim.faults import LINK_DEGRADE, TRANSFER_FLAKE, WORKER_CRASH
 from repro.core.arrays import ManagedArray
 from repro.core.ce import CeKind, ComputationalElement
 from repro.core.config import RUNTIME_KNOBS, RuntimeConfig
 from repro.core.controller import Controller
+from repro.core.dag import DependencyDag
 from repro.core.intranode import IntraNodeScheduler
 from repro.core.policies import Policy, RoundRobinPolicy
 from repro.core.session import Session
@@ -48,7 +52,251 @@ def _launch_config(grid: int | tuple[int, ...],
     return _shared_config(_as_dims(grid), _as_dims(block))
 
 
-class GroutRuntime:
+class HostRuntime:
+    """The host API of both runtimes (Listing 2: GrCUDA to GrOUT is a
+    one-token change).
+
+    Each submission builds its CE here once and hands it to the
+    runtime's scheduler through one submit path; ``free``,
+    ``host_barrier``, ``sync`` and teardown have one body each.  A
+    runtime sets the attributes annotated below and provides
+    :meth:`adopt`, :meth:`pending_events` and these hooks:
+
+    * ``_submit(ce) -> Event``: schedule one CE; attach and return its
+      done event;
+    * ``_run_until(event)`` and ``_run_for(horizon)``: advance simulated
+      time to an event or to an absolute time;
+    * ``_forget(array)``: drop a freed array from the scheduler's state;
+    * ``_teardown()``: release the scheduler's state on shutdown, before
+      the engine's queued deliveries are discarded.
+    """
+
+    #: The simulation engine under this runtime.
+    engine: Engine
+    #: The span tracer every node records into.
+    tracer: Tracer
+    #: The :class:`~repro.obs.MetricsRegistry` every layer publishes to.
+    metrics: MetricsRegistry
+    #: The per-CE :class:`~repro.obs.CeProfiler`.
+    profiler: CeProfiler
+    #: The Global DAG of scheduled, not yet pruned CEs.
+    dag: DependencyDag
+    #: The GPU nodes CEs run on.
+    nodes: list[Node]
+    #: Each GPU node's intra-node scheduler, by node name.
+    workers: dict[str, IntraNodeScheduler]
+    #: CEs submitted through this API, every kind.
+    ces_submitted: int
+
+    def __init__(self) -> None:
+        # Set first so __del__ stays safe even if construction fails.
+        self._closed = False
+        self.ces_submitted = 0
+
+    @property
+    def elapsed(self) -> float:
+        """Simulated seconds since the runtime's engine started."""
+        return self.engine.now
+
+    # -- allocation ----------------------------------------------------------------
+
+    def device_array(self, shape: int | tuple[int, ...],
+                     dtype: object = np.float32, *,
+                     virtual_nbytes: int | None = None,
+                     name: str | None = None) -> ManagedArray:
+        """Allocate a UVM-managed array (``cudaMallocManaged``)."""
+        return self.adopt(ManagedArray(shape, dtype,
+                                       virtual_nbytes=virtual_nbytes,
+                                       name=name))
+
+    def adopt(self, array: ManagedArray) -> ManagedArray:
+        """Register an externally created array (e.g. a partition chunk)."""
+        raise NotImplementedError
+
+    def free(self, array: ManagedArray) -> None:
+        """Drop an array from the runtime and every node.
+
+        Waits for the array's pending accessors first, as ``cudaFree``
+        synchronises: a queued reader would otherwise register the
+        array on its node again after the drop.
+        """
+        self.host_barrier(array)
+        self._forget(array)
+
+    # -- computation -----------------------------------------------------------------
+
+    def _schedule(self, ce: ComputationalElement) -> Event:
+        """The one submit path: refuse after shutdown, count, submit."""
+        if self._closed:
+            raise SimError("runtime is shut down; no further CEs")
+        self.ces_submitted += 1
+        return self._submit(ce)
+
+    def launch(self, kernel: KernelSpec,
+               grid: int | tuple[int, ...],
+               block: int | tuple[int, ...],
+               args: tuple[object, ...],
+               accesses: list[ArrayAccess] | None = None,
+               label: str | None = None) -> ComputationalElement:
+        """Asynchronously launch a kernel; returns its CE immediately."""
+        if accesses is None:
+            accesses = kernel.accesses(args)
+        ce = ComputationalElement(
+            kind=CeKind.KERNEL,
+            accesses=tuple(accesses),
+            kernel=kernel,
+            config=_launch_config(grid, block),
+            args=tuple(args),
+            label=label,
+        )
+        self._schedule(ce)
+        return ce
+
+    def prefetch(self, array: ManagedArray, worker: str | None = None,
+                 gpu_index: int = 0,
+                 label: str | None = None) -> ComputationalElement:
+        """``cudaMemPrefetchAsync``: migrate an array to a GPU ahead of use.
+
+        ``worker`` names the node (user-directed placement; a name not in
+        :attr:`workers` raises ``KeyError``) or, when ``None``, leaves the
+        choice to the runtime; ``gpu_index`` picks the GPU on it.  The
+        prefetch is stream-ordered against conflicting CEs, and on GrOUT
+        also triggers the network replication that makes the data
+        available on that node.
+        """
+        ce = ComputationalElement(
+            kind=CeKind.PREFETCH,
+            accesses=(ArrayAccess(array, Direction.IN),),
+            args=(gpu_index,),
+            label=label or f"prefetch:{array.name}",
+        )
+        if worker is not None:
+            if worker not in self.workers:
+                raise KeyError(f"unknown worker {worker!r}")
+            ce.assigned_node = worker
+        self._schedule(ce)
+        return ce
+
+    def advise(self, array: ManagedArray, advise,
+               device: int | None = None) -> None:
+        """``cudaMemAdvise``: apply a memory advise on every node's UVM
+        space."""
+        for node in self.nodes:
+            node.uvm.advise(array.buffer_id, advise, device)
+
+    def host_write(self, array: "ManagedArray | list[ManagedArray]",
+                   body=None,
+                   label: str | None = None) -> ComputationalElement:
+        """Asynchronous host-side write/initialisation of array(s).
+
+        ``body`` runs at simulated execution time and should fill the
+        backing(s); ordering against kernels is handled by the DAG.  A list
+        initialises several arrays as one CE (one host sweep).
+        """
+        arrays = array if isinstance(array, list) else [array]
+        ce = ComputationalElement(
+            kind=CeKind.HOST_WRITE,
+            accesses=tuple(ArrayAccess(a, Direction.OUT) for a in arrays),
+            host_body=body,
+            label=label or f"write:{arrays[0].name}",
+        )
+        self._schedule(ce)
+        return ce
+
+    def host_barrier(self, array: ManagedArray) -> None:
+        """Block (in simulated time) until every scheduled CE touching
+        the array — readers included — has completed.
+
+        Required before the host mutates the backing *in place* (the
+        polyglot view's ``x[i] = v`` fast path): a pending reader kernel
+        must not observe the new value (WAR at the data level).
+        """
+        for ce in self.dag.pending_accessors(array.buffer_id):
+            if ce.done is not None and not ce.done.processed:
+                self._run_until(ce.done)
+
+    def host_read(self, array: ManagedArray,
+                  label: str | None = None) -> np.ndarray:
+        """Synchronous host read: advances simulation until the data is
+        valid on the host, then returns the NumPy backing."""
+        ce = ComputationalElement(
+            kind=CeKind.HOST_READ,
+            accesses=(ArrayAccess(array, Direction.IN),),
+            label=label or f"read:{array.name}",
+        )
+        self._run_until(self._schedule(ce))
+        return array.data
+
+    # -- synchronisation ---------------------------------------------------------------
+
+    def pending_events(self) -> list[Event]:
+        """Completion events of CEs still in flight."""
+        raise NotImplementedError
+
+    def sync(self, timeout: float | None = None) -> bool:
+        """Run the simulation until every scheduled CE completed.
+
+        With ``timeout`` (simulated seconds, absolute horizon from *now*),
+        returns False if work remains — how the harness models the paper's
+        2.5 h per-run cap.
+        """
+        return self._drain(self.pending_events, timeout)
+
+    def _drain(self, pending: Callable[[], list[Event]],
+               timeout: float | None) -> bool:
+        """Run until every event ``pending()`` lists fired, or for
+        ``timeout`` simulated seconds; False if events remain."""
+        if timeout is not None:
+            self._run_for(self.engine.now + timeout)
+            return not pending()
+        for event in pending():
+            if not event.processed:
+                self._run_until(event)
+        return True
+
+    # -- teardown ----------------------------------------------------------------------
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`shutdown` already ran."""
+        return self._closed
+
+    def shutdown(self) -> None:
+        """Tear the runtime down (idempotent, safe from ``__del__``).
+
+        Releases the scheduler's state (on GrOUT: finalizes every
+        still-open session without draining, as the simulation is over,
+        and shuts the controller down, shard worker processes included),
+        discards the engine's queued deliveries (their callback chains
+        reach the whole simulated graph), and seals the metrics registry
+        so late scrapes see a frozen timestamp.  Afterwards the runtime
+        holds no reference cycle: dropping its last reference frees it by
+        reference counting, so nothing of it is left for a full
+        collection inside the next run.  Traces, metrics values and
+        ``engine.now`` stay readable, and metrics keep accepting writes;
+        new submissions (and, on GrOUT, new sessions) raise ``SimError``.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._teardown()
+        self.engine.drain()
+        self.metrics.finalize()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.shutdown()
+
+    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
+        try:
+            self.shutdown()
+        except Exception:
+            pass
+
+
+class GroutRuntime(HostRuntime):
     """Transparent scale-out runtime over a simulated GPU cluster."""
 
     def __init__(self, cluster: Cluster | None = None, *,
@@ -59,9 +307,7 @@ class GroutRuntime:
         form the controller's :class:`~repro.core.config.RuntimeConfig`
         (so the config's refusal table checks them); the rest build the
         cluster through :func:`~repro.cluster.paper_cluster`."""
-        # Set first so __del__ stays safe even if construction fails
-        # before the controller exists.
-        self._closed = False
+        super().__init__()
         config = RuntimeConfig(**{name: kwargs.pop(name)
                                   for name in RUNTIME_KNOBS
                                   if name in kwargs})
@@ -71,6 +317,10 @@ class GroutRuntime:
             raise ValueError(
                 "pass either a prebuilt cluster or cluster kwargs, not both")
         self.cluster = cluster
+        self.engine = cluster.engine
+        self.tracer = cluster.tracer
+        self.metrics = cluster.metrics
+        self.profiler = cluster.profiler
         if config.chunk_bytes is not None:
             cluster.fabric.chunk_bytes = config.chunk_bytes
         self.policy = policy if policy is not None else RoundRobinPolicy()
@@ -81,32 +331,63 @@ class GroutRuntime:
         self._session_names = itertools.count()
         self._sessions: dict[str, Session] = {}
 
-    # -- environment ------------------------------------------------------------
+    # -- the host API's hooks ----------------------------------------------------
 
     @property
-    def engine(self) -> Engine:
-        """The simulation engine under this runtime."""
-        return self.cluster.engine
+    def dag(self) -> DependencyDag:
+        """The controller's Global DAG."""
+        return self.controller.dag
 
     @property
-    def tracer(self) -> Tracer:
-        """The cluster-wide span tracer."""
-        return self.cluster.tracer
+    def nodes(self) -> list[Node]:
+        """The cluster's live GPU workers."""
+        return self.cluster.workers
 
     @property
-    def metrics(self):
-        """The cluster-wide :class:`~repro.obs.MetricsRegistry`."""
-        return self.cluster.metrics
+    def workers(self) -> dict[str, IntraNodeScheduler]:
+        """The controller's per-worker schedulers (shard proxies in
+        shard mode)."""
+        return self.controller.workers
 
-    @property
-    def profiler(self):
-        """The cluster-wide per-CE :class:`~repro.obs.CeProfiler`."""
-        return self.cluster.profiler
+    def _submit(self, ce: ComputationalElement) -> Event:
+        return self.controller.schedule(ce, session=self._active_session)
 
-    @property
-    def elapsed(self) -> float:
-        """Simulated seconds since the runtime's engine started."""
-        return self.engine.now
+    def _run_until(self, event: Event) -> None:
+        self.controller.run_until(event)
+
+    def _run_for(self, horizon: float) -> None:
+        self.controller.run_for(horizon)
+
+    def pending_events(self) -> list[Event]:
+        """Completion events of CEs still in flight."""
+        return self.controller.pending_events()
+
+    def adopt(self, array: ManagedArray) -> ManagedArray:
+        """Register an array, born up-to-date on the controller."""
+        self.controller.directory.register(array)
+        return array
+
+    def _forget(self, array: ManagedArray) -> None:
+        for worker in self.controller.workers.values():
+            worker.drop_replica(array)
+            if isinstance(worker, IntraNodeScheduler):
+                # A shard worker's local DAG lives in its own process.
+                worker.forget_buffer(array.buffer_id)
+        self.controller.dag.forget_buffer(array.buffer_id)
+        self.controller.directory.forget(array)
+
+    def _teardown(self) -> None:
+        for session in list(self._sessions.values()):
+            session._finalize()
+        self.controller.shutdown()
+
+    def advise(self, array: ManagedArray, advise,
+               device: int | None = None) -> None:
+        """``cudaMemAdvise`` on every worker; refused in shard mode."""
+        if self.controller.coordinator is not None:
+            raise SimError("advise is not supported in shard mode (UVM "
+                           "spaces live in the shard processes)")
+        super().advise(array, advise, device)
 
     # -- multi-program sessions ---------------------------------------------------
 
@@ -193,201 +474,3 @@ class GroutRuntime:
         injector.on(LINK_DEGRADE, degrade)
         injector.on(TRANSFER_FLAKE, flake)
         return injector.arm()
-
-    # -- allocation ----------------------------------------------------------------
-
-    def device_array(self, shape: int | tuple[int, ...],
-                     dtype: object = np.float32, *,
-                     virtual_nbytes: int | None = None,
-                     name: str | None = None) -> ManagedArray:
-        """Allocate a UVM-managed array, born up-to-date on the controller."""
-        array = ManagedArray(shape, dtype, virtual_nbytes=virtual_nbytes,
-                             name=name)
-        self.controller.directory.register(array)
-        return array
-
-    def adopt(self, array: ManagedArray) -> ManagedArray:
-        """Register an externally created array (e.g. a partition chunk)."""
-        self.controller.directory.register(array)
-        return array
-
-    def free(self, array: ManagedArray) -> None:
-        """Drop an array from the coherence directory, the DAGs and every
-        worker.
-
-        Waits for the array's pending accessors first, as ``cudaFree``
-        synchronises: a queued reader would otherwise register the
-        array on its worker again after the drop.
-        """
-        self.host_barrier(array)
-        for worker in self.controller.workers.values():
-            worker.drop_replica(array)
-            if isinstance(worker, IntraNodeScheduler):
-                # A shard worker's local DAG lives in its own process.
-                worker.forget_buffer(array.buffer_id)
-        self.controller.dag.forget_buffer(array.buffer_id)
-        self.controller.directory.forget(array)
-
-    # -- computation -----------------------------------------------------------------
-
-    def launch(self, kernel: KernelSpec,
-               grid: int | tuple[int, ...],
-               block: int | tuple[int, ...],
-               args: tuple[object, ...],
-               accesses: list[ArrayAccess] | None = None,
-               label: str | None = None) -> ComputationalElement:
-        """Asynchronously launch a kernel; returns its CE immediately."""
-        if accesses is None:
-            accesses = kernel.accesses(args)
-        ce = ComputationalElement(
-            kind=CeKind.KERNEL,
-            accesses=tuple(accesses),
-            kernel=kernel,
-            config=_launch_config(grid, block),
-            args=tuple(args),
-            label=label,
-        )
-        self.controller.schedule(ce, session=self._active_session)
-        return ce
-
-    def prefetch(self, array: ManagedArray, worker: str | None = None,
-                 gpu_index: int = 0,
-                 label: str | None = None) -> ComputationalElement:
-        """Migrate an array to a worker's GPU ahead of use.
-
-        Names a worker explicitly (user-directed placement) or lets the
-        active policy pick one; also triggers the network replication that
-        makes the data available on that node.
-        """
-        ce = ComputationalElement(
-            kind=CeKind.PREFETCH,
-            accesses=(ArrayAccess(array, Direction.IN),),
-            args=(gpu_index,),
-            label=label or f"prefetch:{array.name}",
-        )
-        if worker is not None:
-            if worker not in self.controller.workers:
-                raise KeyError(f"unknown worker {worker!r}")
-            ce.assigned_node = worker
-        self.controller.schedule(ce, session=self._active_session)
-        return ce
-
-    def advise(self, array: ManagedArray, advise,
-               device: int | None = None) -> None:
-        """Apply a memory advise on every worker's UVM space."""
-        if self.controller.coordinator is not None:
-            raise SimError("advise is not supported in shard mode (UVM "
-                           "spaces live in the shard processes)")
-        for scheduler in self.controller.workers.values():
-            uvm = scheduler.node.uvm
-            assert uvm is not None
-            uvm.advise(array.buffer_id, advise, device)
-
-    def host_write(self, array: "ManagedArray | list[ManagedArray]",
-                   body=None,
-                   label: str | None = None) -> ComputationalElement:
-        """Asynchronous host-side write/initialisation of array(s).
-
-        ``body`` runs at simulated execution time and should fill the
-        backing(s); ordering against kernels is handled by the DAG.  A list
-        initialises several arrays as one CE (one host sweep).
-        """
-        arrays = array if isinstance(array, list) else [array]
-        ce = ComputationalElement(
-            kind=CeKind.HOST_WRITE,
-            accesses=tuple(ArrayAccess(a, Direction.OUT) for a in arrays),
-            host_body=body,
-            label=label or f"write:{arrays[0].name}",
-        )
-        self.controller.schedule(ce, session=self._active_session)
-        return ce
-
-    def host_barrier(self, array: ManagedArray) -> None:
-        """Block (in simulated time) until every scheduled CE touching
-        the array — readers included — has completed.
-
-        Required before the host mutates the backing *in place* (the
-        polyglot view's ``x[i] = v`` fast path): a pending reader kernel
-        must not observe the new value (WAR at the data level).
-        """
-        for ce in self.controller.dag.pending_accessors(array.buffer_id):
-            if ce.done is not None and not ce.done.processed:
-                self.controller.run_until(ce.done)
-
-    def host_read(self, array: ManagedArray,
-                  label: str | None = None) -> np.ndarray:
-        """Synchronous host read: advances simulation until the data is
-        valid on the controller, then returns the NumPy backing."""
-        ce = ComputationalElement(
-            kind=CeKind.HOST_READ,
-            accesses=(ArrayAccess(array, Direction.IN),),
-            label=label or f"read:{array.name}",
-        )
-        done = self.controller.schedule(ce,
-                                         session=self._active_session)
-        self.controller.run_until(done)
-        return array.data
-
-    # -- synchronisation ---------------------------------------------------------------
-
-    def sync(self, timeout: float | None = None) -> bool:
-        """Run the simulation until every scheduled CE completed.
-
-        With ``timeout`` (simulated seconds, absolute horizon from *now*),
-        returns False if work remains — how the harness models the paper's
-        2.5 h per-run cap.
-        """
-        if timeout is not None:
-            self.controller.run_for(self.engine.now + timeout)
-            return not self.controller.pending_events()
-        for event in self.controller.pending_events():
-            if not event.processed:
-                self.controller.run_until(event)
-        return True
-
-    # -- teardown ----------------------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`shutdown` already ran."""
-        return self._closed
-
-    def shutdown(self) -> None:
-        """Tear the runtime down (idempotent, safe from ``__del__``).
-
-        Finalizes every still-open session (without draining — the
-        simulation is over), shuts the controller down (shard worker
-        processes included) and cuts its parts' back-references to it,
-        discards the engine's queued deliveries (their callback chains
-        reach the whole cluster graph), and seals the metrics
-        registry so late scrapes see a frozen timestamp.  Afterwards the
-        runtime holds no reference cycle: dropping its last reference
-        frees it by reference counting, so nothing of it is left for a
-        full collection inside the next run.  Traces, metrics values
-        and ``engine.now`` stay readable, and metrics keep accepting
-        writes; new sessions and new submissions raise.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for session in list(self._sessions.values()):
-            session._finalize()
-        controller = getattr(self, "controller", None)
-        if controller is not None:
-            controller.shutdown()
-        cluster = getattr(self, "cluster", None)
-        if cluster is not None:
-            cluster.engine.drain()
-            cluster.metrics.finalize()
-
-    def __enter__(self) -> "GroutRuntime":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown()
-
-    def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
-        try:
-            self.shutdown()
-        except Exception:
-            pass

@@ -334,16 +334,9 @@ class Session:
         :meth:`GroutRuntime.sync`.
         """
         engine = self._runtime.engine
-        controller = self._runtime.controller
         start = engine.now
         try:
-            if timeout is not None:
-                controller.run_for(engine.now + timeout)
-                return not self.pending_events()
-            for event in self.pending_events():
-                if not event.processed:
-                    controller.run_until(event)
-            return True
+            return self._runtime._drain(self.pending_events, timeout)
         finally:
             self._sync_seconds.inc(engine.now - start)
 

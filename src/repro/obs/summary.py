@@ -157,16 +157,12 @@ def build_run_summary(runtime, *, top: int = 10) -> RunSummary:
     profiler: CeProfiler | None = getattr(runtime, "profiler", None)
     if profiler is not None:
         summary.phase_totals = profiler.totals
-        summary.ces_scheduled = profiler.totals.ces_profiled
         summary.top_ces = profiler.slowest(top)
+    summary.ces_scheduled = getattr(runtime, "ces_submitted", 0)
     metrics = getattr(runtime, "metrics", None)
     summary.links = _links_from_registry(metrics)
 
-    cluster = getattr(runtime, "cluster", None)
-    nodes = (cluster.workers if cluster is not None
-             else [runtime.node] if getattr(runtime, "node", None)
-             else [])
-    for node in nodes:
+    for node in getattr(runtime, "nodes", ()):
         uvm = node.uvm
         if uvm is None:
             continue

@@ -2,12 +2,16 @@
 
 import io
 
+import pytest
 
 from repro.bench import report_for, sweep, write_csv
 from repro.bench.sweep import CSV_FIELDS
 from repro.core import GrCudaRuntime, GroutRuntime
 from repro.gpu import GIB, MIB, TEST_GPU_1GB
+from repro.obs import build_run_summary
 from repro.workloads import make_workload
+from tests.core.pipeline.test_grcuda_schedule_regression import (
+    LONG_CES, long_program)
 
 
 class TestSweep:
@@ -70,6 +74,24 @@ class TestRunReport:
         assert report.network_bytes == 0
         assert report.node_oversubscription["local"] > 0
         assert report.top_kernels[0][0] == "black_scholes"
+
+    @pytest.mark.parametrize("make_runtime", [
+        lambda: GroutRuntime(n_workers=2, gpu_spec=TEST_GPU_1GB),
+        lambda: GrCudaRuntime(gpu_spec=TEST_GPU_1GB),
+    ], ids=["grout", "grcuda"])
+    def test_both_builders_count_every_submitted_ce(self, make_runtime):
+        """Host CEs and pruned CEs count too, and the count outlives
+        shutdown: both builders read the host API's one CE count."""
+        rt = make_runtime()
+        long_program(rt)
+
+        def counts():
+            return (report_for(rt).ces_scheduled,
+                    build_run_summary(rt).ces_scheduled)
+
+        assert counts() == (LONG_CES, LONG_CES)
+        rt.shutdown()
+        assert counts() == (LONG_CES, LONG_CES)
 
     def test_busy_breakdown_covers_kernels_and_transfers(self):
         wl = make_workload("mv", 2 * GIB, n_chunks=4)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import GrCudaRuntime
-from repro.gpu import ArrayAccess, Direction, KernelSpec
+from repro.cluster import paper_cluster
+from repro.core import GrCudaRuntime, GroutRuntime
+from repro.gpu import ArrayAccess, Direction, KernelSpec, TEST_GPU_1GB
 from repro.gpu.specs import GIB, MIB
 
 
@@ -29,6 +30,26 @@ class TestConstruction:
     def test_page_size_override(self):
         rt = GrCudaRuntime(page_size=16 * MIB)
         assert rt.node.gpus[0].spec.page_size == 16 * MIB
+
+    def test_node_is_built_like_a_paper_cluster_worker(self):
+        """The one node takes the keywords a paper_cluster worker takes."""
+        kwargs = dict(gpus_per_worker=3, gpu_spec=TEST_GPU_1GB,
+                      page_size=4 * MIB, seed=5)
+        rt = GrCudaRuntime(**kwargs)
+        worker = paper_cluster(1, **kwargs).workers[0]
+        assert rt.node.spec == worker.spec
+        assert len(rt.node.gpus) == 3
+        assert [rt.node.name] == [n.name for n in rt.nodes] == \
+            list(rt.workers)
+
+
+def test_both_runtimes_share_one_host_api():
+    """Listing 2: each host-API method has one body over both runtimes."""
+    for name in ("device_array", "launch", "prefetch", "host_write",
+                 "host_read", "host_barrier", "free", "sync", "shutdown",
+                 "closed", "elapsed", "__enter__", "__exit__"):
+        assert getattr(GrCudaRuntime, name) is getattr(GroutRuntime, name), \
+            name
 
 
 class TestAllocation:

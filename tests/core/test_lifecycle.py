@@ -15,7 +15,7 @@ from repro.bench.scale import WORKLOADS as SCALE_WORKLOADS
 from repro.cluster import paper_cluster
 from repro.core import (GrCudaRuntime, GroutRuntime, RoundRobinPolicy,
                         RuntimeConfig, SessionClosedError)
-from repro.gpu import TEST_GPU_1GB
+from repro.gpu import ArrayAccess, Direction, KernelSpec, TEST_GPU_1GB
 from repro.gpu.specs import MIB
 from repro.serve import GroutService, WorkloadSpec
 from repro.sim import FaultPlan, SimError
@@ -201,6 +201,39 @@ class TestGrCudaShutdown:
         assert rt.closed
         rt.shutdown()          # still a no-op
         assert rt.engine.peek() == float("inf")
+
+
+def _inout_kernel():
+    return KernelSpec("k", access_fn=lambda args: [
+        ArrayAccess(args[0], Direction.INOUT)])
+
+
+#: Every submission of the host API, each given a runtime and an array.
+SUBMISSIONS = {
+    "launch": lambda rt, a: rt.launch(_inout_kernel(), 4, 128, (a,)),
+    "prefetch": lambda rt, a: rt.prefetch(a),
+    "host_write": lambda rt, a: rt.host_write(a),
+    "host_read": lambda rt, a: rt.host_read(a),
+}
+
+
+@pytest.mark.parametrize("make_runtime", [
+    lambda: GroutRuntime(n_workers=2, gpu_spec=TEST_GPU_1GB),
+    lambda: GrCudaRuntime(gpu_spec=TEST_GPU_1GB),
+], ids=["grout", "grcuda"])
+def test_shut_down_runtime_refuses_every_submission(make_runtime):
+    """After ``shutdown()`` each submission raises, and none of them runs
+    the drained engine on."""
+    rt = make_runtime()
+    a = rt.device_array(4, virtual_nbytes=MIB)
+    rt.host_write(a)
+    assert rt.sync()
+    rt.shutdown()
+    clock = (rt.engine.now, rt.engine.events_processed)
+    for name, submit in SUBMISSIONS.items():
+        with pytest.raises(SimError, match="shut down"):
+            submit(rt, a)
+        assert (rt.engine.now, rt.engine.events_processed) == clock, name
 
 
 class TestSessionLifecycle:

@@ -77,8 +77,7 @@ class TestFreeSemantics:
             assert rt.sync()
             if not free_first:
                 rt.free(shared)
-            nodes = [rt.node] if mode == "grcuda" else rt.cluster.workers
-            managed = [node.uvm.managed_bytes for node in nodes]
+            managed = [node.uvm.managed_bytes for node in rt.nodes]
             rt.shutdown()
             return managed
 

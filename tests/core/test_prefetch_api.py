@@ -125,6 +125,32 @@ class TestGroutPrefetch:
         assert ce.assigned_node in ("worker0", "worker1")
 
 
+@pytest.mark.parametrize("mode,node", [("grout", "worker1"),
+                                       ("grcuda", "local")])
+class TestOnePrefetchSignature:
+    """``prefetch(array, worker=None, gpu_index=0, label=None)`` on both
+    runtimes, so a program that names its node keeps working when only
+    the runtime changes."""
+
+    def test_named_node_and_gpu(self, request, mode, node):
+        rt = request.getfixturevalue(mode)
+        a = rt.device_array(64, virtual_nbytes=50 * MIB)
+        ce = rt.prefetch(a, worker=node, gpu_index=1, label="p")
+        assert rt.sync()
+        assert ce.assigned_node == node
+        uvm = rt.workers[node].node.uvm
+        gpu = rt.workers[node].node.gpus[1]
+        assert uvm.resident_bytes(a.buffer_id, gpu) == 50 * MIB
+
+    @pytest.mark.parametrize("worker", ["ghost", 1])
+    def test_unknown_worker_rejected(self, request, mode, node, worker):
+        rt = request.getfixturevalue(mode)
+        a = rt.device_array(64, virtual_nbytes=MIB)
+        with pytest.raises(KeyError, match="unknown worker"):
+            rt.prefetch(a, worker)
+        assert rt.ces_submitted == 0
+
+
 class TestAdvise:
     def test_grcuda_read_mostly_suppresses_writeback(self, small_spec):
         rt = GrCudaRuntime(gpu_spec=small_spec)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.config import RuntimeConfig
+from repro.core.runtime import HostRuntime
 from repro.obs import CATALOG, PHASES
 from repro.sim import CATEGORIES
 from repro.uvm import PAGING_BACKENDS
@@ -24,6 +25,8 @@ API_MD = REPO / "docs" / "API.md"
 _MD_LINK_RE = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(?:#[^)]*)?\)")
 _FENCE_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 _TABLE_KEY_RE = re.compile(r"^\| `([a-z0-9_-]+)`", re.MULTILINE)
+#: A table row naming a method (``name(...)``) or an attribute.
+_MEMBER_ROW_RE = re.compile(r"^\| `([a-z_]+)[(`]", re.MULTILINE)
 
 
 def _section(text: str, heading: str) -> str:
@@ -106,6 +109,21 @@ def test_api_documents_every_config_field():
     assert len(rows) == len(set(rows)), "a field documented twice"
     assert fields - set(rows) == set(), "undocumented config fields"
     assert set(rows) - fields == set(), "docs mention ghost config fields"
+
+
+def test_api_documents_the_host_api():
+    """The API.md runtime table has one row per public member of the
+    host API both runtimes share: none undocumented, no ghost, no
+    duplicate."""
+    section = _section(API_MD.read_text(encoding="utf-8"),
+                       "### Runtimes — one host API")
+    rows = _MEMBER_ROW_RE.findall(section)
+    members = {name for name in (*vars(HostRuntime),
+                                 *HostRuntime.__annotations__)
+               if not name.startswith("_")}
+    assert len(rows) == len(set(rows)), "a member documented twice"
+    assert members - set(rows) == set(), "undocumented host-API members"
+    assert set(rows) - members == set(), "docs mention ghost members"
 
 
 def test_api_names_every_workload():
