@@ -2,9 +2,9 @@
 
 Runs Black–Scholes on a two-node cluster, then reads the same run four
 ways: the live metrics registry (Prometheus text), the per-CE phase
-profiles (sched / transfer / stall / compute), the post-run summary
-tables the CLI prints, and the exported artefacts — a Chrome trace with
-metric counter tracks and the `grout-run-report/1` JSON.  The full
+profiles (sched / transfer / stall / compute), the run report the CLI
+prints, and the exported artefacts — a Chrome trace with metric counter
+tracks and the `grout-run-report/2` JSON.  The full
 metric catalogue and every format shown here are documented in
 docs/OBSERVABILITY.md.
 
@@ -17,9 +17,8 @@ from pathlib import Path
 
 from repro import GroutRuntime
 from repro.bench import write_chrome_trace
-from repro.bench.runreport import write_run_report
 from repro.gpu.specs import GIB
-from repro.obs import build_run_summary, to_prometheus_text
+from repro.obs import build_run_report, to_prometheus_text, write_run_report
 from repro.workloads import make_workload
 
 
@@ -46,9 +45,9 @@ def main() -> None:
               f"stall {profile.stall_seconds:.3g}s, "
               f"compute {profile.compute_seconds:.3g}s")
 
-    # 3. The run summary: the tables `--metrics` prints after a run.
-    print("\n--- run summary " + "-" * 42)
-    print(build_run_summary(runtime, top=5).render())
+    # 3. The run report: the tables `--metrics` prints after a run.
+    print("\n--- run report " + "-" * 43)
+    print(build_run_report(runtime, top=5).render())
 
     # 4. Exported artefacts: Chrome trace (spans + metric counter
     # tracks) and the schema-stable JSON run report.
@@ -66,7 +65,7 @@ def main() -> None:
           "open in chrome://tracing or Perfetto)")
     print(f"wrote {report_path} (schema {report['schema']}: "
           f"{len(report['metrics']['metrics'])} metric families, "
-          f"{report['summary']['ces_scheduled']} CEs scheduled)")
+          f"{report['report']['ces_scheduled']} CEs scheduled)")
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from repro.bench.harness import (
     RUN_CAP_SECONDS,
     ExperimentResult,
     page_size_for,
+    run_experiment,
     run_grout,
     run_single_node,
     slowdown_series,
@@ -27,18 +28,8 @@ from repro.bench.harness import (
 )
 from repro.bench.compare import Comparison, Drift, compare_figures
 from repro.bench.export import figure_to_dict, write_figure_json
-from repro.bench.chrometrace import (
-    time_breakdown,
-    to_chrome_trace,
-    write_chrome_trace,
-)
+from repro.bench.chrometrace import to_chrome_trace, write_chrome_trace
 from repro.bench.report import format_series, format_table
-from repro.bench.runreport import (
-    RunReport,
-    json_run_report,
-    report_for,
-    write_run_report,
-)
 from repro.bench.sweep import sweep, write_csv
 from repro.bench.timeline import (
     TimelineOptions,
@@ -63,7 +54,6 @@ __all__ = [
     "fig7",
     "fig8",
     "fig9",
-    "RunReport",
     "TimelineOptions",
     "Comparison",
     "Drift",
@@ -71,18 +61,15 @@ __all__ = [
     "figure_to_dict",
     "format_series",
     "format_table",
-    "json_run_report",
     "render_timeline",
-    "report_for",
-    "write_run_report",
     "sweep",
-    "time_breakdown",
     "to_chrome_trace",
     "utilisation_report",
     "write_chrome_trace",
     "write_csv",
     "write_figure_json",
     "page_size_for",
+    "run_experiment",
     "run_grout",
     "run_single_node",
     "slowdown_series",

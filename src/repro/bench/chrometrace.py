@@ -93,15 +93,3 @@ def write_chrome_trace(tracer: Tracer, destination: "str | IO[str]",
     else:
         json.dump(payload, destination)
 
-
-def time_breakdown(tracer: Tracer) -> dict[str, float]:
-    """Busy seconds per category across the whole trace (union per lane).
-
-    The categories double-count nothing within a lane, but parallel lanes
-    add up — this is aggregate *work*, not the makespan.
-    """
-    breakdown: dict[str, float] = {}
-    for span in tracer.spans:
-        breakdown[span.category] = breakdown.get(span.category, 0.0) \
-            + span.duration
-    return breakdown

@@ -9,18 +9,21 @@ time.  This module owns those mechanics plus the sizing conventions
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 from dataclasses import dataclass
 
 from repro.core.config import RuntimeConfig, page_size_for
 from repro.core.policies import ExplorationLevel, Policy
+from repro.core.runtime import HostRuntime
 from repro.gpu.specs import GIB
 from repro.sim import FaultPlan
-from repro.workloads import RunResult, make_workload
+from repro.workloads import make_workload
 
 __all__ = [
     "ExperimentResult", "NODE_GPU_BYTES", "PAPER_SIZES_GB",
-    "RUN_CAP_SECONDS", "page_size_for", "run_grout", "run_single_node",
-    "slowdown_series", "step_ratios",
+    "RUN_CAP_SECONDS", "page_size_for", "run_experiment", "run_grout",
+    "run_single_node", "slowdown_series", "step_ratios",
 ]
 
 #: The paper's footprint sweep: 4 GB → 160 GB (= 5× OSF on 2×16 GB × 1 node).
@@ -65,30 +68,24 @@ def run_single_node(workload: str, footprint_bytes: int, *,
     """One GrCUDA (single-node, 2×V100) run — the Fig. 1/6a baseline.
 
     ``config`` carries the runtime knobs (its ``seed`` becomes the base
-    repetition seed); the individual keyword knobs remain as shorthand
-    and are ignored when a config is given.  ``repeats > 1`` follows the
-    paper's protocol (§V-A: ten repetitions, arithmetic mean): each
-    repetition gets a distinct seed, so stochastic model components
-    (random page sets, random eviction) average out.
+    repetition seed); the individual keyword knobs are shorthand for a
+    config, so setting one away from its default next to ``config``
+    raises ``ValueError``.  ``repeats > 1`` follows the paper's protocol
+    (§V-A: ten repetitions, arithmetic mean): each repetition gets a
+    distinct seed, so stochastic model components (random page sets,
+    random eviction) average out.
     """
     if config is None:
-        config = RuntimeConfig(mode="grcuda", page_size=page_size,
-                               seed=seed, uvm_backend=uvm_backend)
+        config = RuntimeConfig(page_size=page_size, seed=seed,
+                               uvm_backend=uvm_backend)
     else:
-        config = config.merge(mode="grcuda")
-
-    def once(s: int) -> ExperimentResult:
-        rt = config.merge(seed=s).build_runtime(
-            footprint_bytes=footprint_bytes)
-        wl = make_workload(workload, footprint_bytes, seed=s,
-                           **workload_kwargs)
-        res = wl.execute(rt, timeout=cap, check=check)
-        rt.shutdown()
-        return _to_experiment(res, wl.name, "grcuda", 1, "intra-node",
-                              footprint_bytes)
-
-    return _mean_of([once(config.seed + i)
-                     for i in range(max(1, repeats))])
+        _refuse_shorthand(run_single_node, page_size=page_size, seed=seed,
+                          uvm_backend=uvm_backend)
+    result, _ = run_experiment(workload, footprint_bytes,
+                               config.merge(mode="grcuda"), cap=cap,
+                               check=check, repeats=repeats,
+                               **workload_kwargs)
+    return result
 
 
 def run_grout(workload: str, footprint_bytes: int, *,
@@ -110,59 +107,87 @@ def run_grout(workload: str, footprint_bytes: int, *,
     """One GrOUT run on ``n_workers`` paper nodes with a given policy.
 
     ``config`` carries every runtime knob at once (its ``seed`` becomes
-    the base repetition seed); the individual keyword knobs remain as
-    shorthand and are ignored when a config is given.  ``repeats``
-    averages over per-repetition seeds (paper protocol §V-A).  The armed
+    the base repetition seed); the individual keyword knobs are
+    shorthand for a config, so setting one away from its default next
+    to ``config`` raises ``ValueError``.  ``repeats`` averages over
+    per-repetition seeds (paper protocol §V-A).  The armed
     :class:`FaultPlan` fires on every repetition before the workload
     executes; ``chunk_bytes`` pipelines fabric transfers at that granule
     and ``collectives`` turns broadcast-shaped replication into relay
     chains — both default off (the paper's serial sends).
     """
+    knobs = dict(n_workers=n_workers, policy=policy, level=level,
+                 page_size=page_size, seed=seed, uvm_backend=uvm_backend,
+                 chunk_bytes=chunk_bytes, collectives=collectives,
+                 faults=faults)
     if config is None:
-        config = RuntimeConfig(
-            mode="grout", policy=policy, level=level,
-            n_workers=n_workers, page_size=page_size, seed=seed,
-            uvm_backend=uvm_backend, chunk_bytes=chunk_bytes,
-            collectives=collectives, faults=faults,
-            replace_crashed=request_replacement)
+        config = RuntimeConfig(replace_crashed=request_replacement,
+                               **knobs)
     else:
-        config = config.merge(mode="grout")
-    wl = make_workload(workload, footprint_bytes, seed=config.seed,
-                       **workload_kwargs)
-    # One policy instance across repetitions, reset between them, so a
-    # caller-provided stateful policy keeps working exactly as before.
-    policy_obj = config.build_policy(wl)
-
-    def once(s: int) -> ExperimentResult:
-        wl_run = make_workload(workload, footprint_bytes, seed=s,
+        _refuse_shorthand(run_grout, request_replacement=request_replacement,
+                          **knobs)
+    result, _ = run_experiment(workload, footprint_bytes,
+                               config.merge(mode="grout"), cap=cap,
+                               check=check, repeats=repeats,
                                **workload_kwargs)
-        policy_obj.reset()
-        rt = config.merge(policy=policy_obj, seed=s).build_runtime(
+    return result
+
+
+def _refuse_shorthand(driver, **knobs: object) -> None:
+    """Refuse a shorthand knob set next to ``config=``, which carries
+    every knob and would silently win."""
+    defaults = inspect.signature(driver).parameters
+    for name, value in knobs.items():
+        if value != defaults[name].default:
+            raise ValueError(
+                f"{driver.__name__}: {name}={value!r} is ignored when "
+                "config= is given; set it on the config instead")
+
+
+def run_experiment(workload: str, footprint_bytes: int,
+                   config: RuntimeConfig, *,
+                   cap: float | None = RUN_CAP_SECONDS,
+                   check: bool = True,
+                   repeats: int = 1,
+                   **workload_kwargs
+                   ) -> tuple[ExperimentResult, HostRuntime]:
+    """Run ``workload`` ``repeats`` times on runtimes built from ``config``.
+
+    Returns the mean :class:`ExperimentResult` and the last
+    repetition's runtime, shut down: its traces, metrics and run report
+    stay readable.  Repetition ``i`` uses seed ``config.seed + i``.  On
+    GrOUT one policy instance serves every repetition, reset between
+    them, so a caller-provided stateful policy keeps working.
+    """
+    if config.mode == "grout":
+        policy = config.build_policy(make_workload(
+            workload, footprint_bytes, seed=config.seed, **workload_kwargs))
+        config = config.merge(policy=policy)
+        n_workers, policy_name = config.n_workers, policy.name
+    else:
+        policy, n_workers, policy_name = None, 1, "intra-node"
+    results = []
+    for s in range(config.seed, config.seed + max(1, repeats)):
+        wl = make_workload(workload, footprint_bytes, seed=s,
+                           **workload_kwargs)
+        if policy is not None:
+            policy.reset()
+        runtime = config.merge(seed=s).build_runtime(
             footprint_bytes=footprint_bytes)
-        res = wl_run.execute(rt, timeout=cap, check=check)
-        rt.shutdown()
-        return _to_experiment(res, wl_run.name, "grout",
-                              config.n_workers, policy_obj.name,
-                              footprint_bytes)
-
-    return _mean_of([once(config.seed + i)
-                     for i in range(max(1, repeats))])
-
-
-def _to_experiment(res: RunResult, workload: str, mode: str,
-                   n_workers: int, policy: str,
-                   footprint_bytes: int) -> ExperimentResult:
-    return ExperimentResult(
-        workload=workload,
-        mode=mode,
-        footprint_bytes=footprint_bytes,
-        n_workers=n_workers,
-        policy=policy,
-        elapsed_seconds=res.elapsed_seconds,
-        completed=res.completed,
-        verified=res.verified,
-        oversubscription=footprint_bytes / NODE_GPU_BYTES,
-    )
+        res = wl.execute(runtime, timeout=cap, check=check)
+        runtime.shutdown()
+        results.append(ExperimentResult(
+            workload=wl.name,
+            mode=config.mode,
+            footprint_bytes=footprint_bytes,
+            n_workers=n_workers,
+            policy=policy_name,
+            elapsed_seconds=res.elapsed_seconds,
+            completed=res.completed,
+            verified=res.verified,
+            oversubscription=footprint_bytes / NODE_GPU_BYTES,
+        ))
+    return _mean_of(results), runtime
 
 
 def _mean_of(results: list[ExperimentResult]) -> ExperimentResult:
@@ -170,7 +195,6 @@ def _mean_of(results: list[ExperimentResult]) -> ExperimentResult:
     if len(results) == 1:
         return results[0]
     first = results[0]
-    import dataclasses
     return dataclasses.replace(
         first,
         elapsed_seconds=sum(r.elapsed_seconds for r in results)

@@ -33,11 +33,17 @@ from repro.bench import (
     fig8,
     fig9,
     format_table,
-    run_grout,
-    run_single_node,
+    run_experiment,
+    write_chrome_trace,
 )
 from repro.bench.timeline import render_timeline, utilisation_report
 from repro.core import KpiAutoscaler, RuntimeConfig
+from repro.obs import (
+    build_run_report,
+    to_prometheus_text,
+    write_prometheus,
+    write_run_report,
+)
 from repro.gpu.specs import GIB
 from repro.workloads import WORKLOADS
 
@@ -65,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--repeats", type=int, default=1,
                        help="repetitions averaged per the paper's "
                             "protocol (default 1; simulation is "
-                            "deterministic)")
+                            "deterministic); the observability outputs "
+                            "describe the last repetition")
     run_p.add_argument("--faults", metavar="SPEC",
                        help="inject failures (grout only): comma-"
                             "separated 'crash:worker0@1.5', "
@@ -90,10 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
                        const="-", default=None,
                        help="export Prometheus-format metrics to PATH "
                             "(or stdout without PATH) and print the "
-                            "per-CE run summary")
+                            "run report")
     run_p.add_argument("--report", metavar="FILE",
-                       help="write the JSON run report (metrics + "
-                            "per-CE summary + accounting)")
+                       help="write the JSON run report (the report "
+                            "and a metrics snapshot)")
 
     serve_p = sub.add_parser(
         "serve", help="serve workload specs over HTTP on a persistent "
@@ -177,14 +184,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print("--sessions requires --mode grout", file=sys.stderr)
             return 2
         return _cmd_run_sessions(args, footprint, config)
-    if args.mode == "grcuda":
-        result = run_single_node(args.workload, footprint, config=config,
-                                 check=not args.no_verify,
-                                 repeats=args.repeats)
-    else:
-        result = run_grout(args.workload, footprint, config=config,
-                           check=not args.no_verify,
-                           repeats=args.repeats)
+    result, rt = run_experiment(args.workload, footprint, config,
+                                check=not args.no_verify,
+                                repeats=args.repeats)
     rows = [
         ("workload", result.workload),
         ("mode", result.mode),
@@ -201,8 +203,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     ]
     print(format_table(["field", "value"], rows))
     if _wants_observability(args):
-        print("\n(re-running with tracing...)")
-        rt = _traced_run(args, footprint, config)
+        print()
         _emit_observability(args, rt)
     return 0 if (result.verified or args.no_verify) else 1
 
@@ -214,25 +215,22 @@ def _wants_observability(args: argparse.Namespace) -> bool:
 
 
 def _emit_observability(args: argparse.Namespace, rt) -> None:
-    """Print/write the timeline, chrome trace, metrics and report."""
-    tracer = rt.tracer
-    assert tracer is not None
+    """Print/write the timeline, chrome trace, metrics and report of
+    the runtime ``rt``."""
     if args.timeline:
-        print(render_timeline(tracer))
+        print(render_timeline(rt.tracer))
         print()
-        print(utilisation_report(tracer))
+        print(utilisation_report(rt.tracer))
     if args.chrome_trace:
-        from repro.bench.chrometrace import write_chrome_trace
-        write_chrome_trace(tracer, args.chrome_trace, metrics=rt.metrics)
+        write_chrome_trace(rt.tracer, args.chrome_trace,
+                           metrics=rt.metrics)
         print(f"chrome trace written to {args.chrome_trace} "
               "(open in chrome://tracing or Perfetto)")
     if args.metrics is not None or args.report is not None:
-        from repro.obs import build_run_summary, write_prometheus
         print()
-        print(build_run_summary(rt).render())
+        print(build_run_report(rt).render())
         if args.metrics is not None:
             if args.metrics == "-":
-                from repro.obs import to_prometheus_text
                 print()
                 print(to_prometheus_text(rt.metrics), end="")
             else:
@@ -240,7 +238,6 @@ def _emit_observability(args: argparse.Namespace, rt) -> None:
                 print(f"\nmetrics written to {args.metrics} "
                       "(Prometheus text format)")
         if args.report is not None:
-            from repro.bench.runreport import write_run_report
             write_run_report(rt, args.report)
             print(f"run report written to {args.report}")
 
@@ -289,16 +286,6 @@ def _cmd_run_sessions(args: argparse.Namespace, footprint: int,
         print()
         _emit_observability(args, rt)
     return 0 if (all(synced) and all(verified)) else 1
-
-
-def _traced_run(args: argparse.Namespace, footprint: int,
-                config: RuntimeConfig):
-    from repro.workloads import make_workload
-
-    wl = make_workload(args.workload, footprint)
-    rt = config.build_runtime(workload=wl, footprint_bytes=footprint)
-    wl.execute(rt, timeout=9000, check=False)
-    return rt
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:

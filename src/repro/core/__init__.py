@@ -19,7 +19,6 @@ from repro.core.controller import (
     Controller,
     ControllerStats,
     RecoveryReport,
-    RunningAggregate,
 )
 from repro.core.dag import DependencyDag
 from repro.core.grcuda import GrCudaRuntime
@@ -86,7 +85,6 @@ __all__ = [
     "RecoveryReport",
     "RelayPlan",
     "RoundRobinPolicy",
-    "RunningAggregate",
     "RuntimeConfig",
     "SchedulingContext",
     "SessionClosedError",

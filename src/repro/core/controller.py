@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cluster.cluster import Cluster
-from repro.obs import CeProfiler, MetricsRegistry, RunningAggregate
+from repro.obs import CeProfiler, MetricsRegistry
 from repro.obs import install as install_metrics
 from repro.sim import Event, SimError
 from repro.core.arrays import Directory
@@ -46,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.session import Session
 
 __all__ = ["Controller", "ControllerStats", "RecoveryReport",
-           "RunningAggregate", "HOST_MEM_BANDWIDTH", "NODE_CRASH"]
+           "HOST_MEM_BANDWIDTH", "NODE_CRASH"]
 
 #: CEs scheduled between two sweeps of the Global DAG's finished nodes.
 PRUNE_EVERY = 256

@@ -8,8 +8,11 @@ The one place every layer reports into and every surface reads from:
 * :class:`CeProfiler` — threads each ``ce_id`` through scheduling
   decision → transfer → stream execution, slicing a run into
   sched/transfer/stall/compute time per CE and per node.
-* Exporters — Prometheus text, a stable JSON schema, Chrome-trace
-  counter tracks, and the post-run :class:`RunSummary` tables.
+* Exporters — Prometheus text, a stable JSON schema and Chrome-trace
+  counter tracks.
+* :class:`RunReport` — the post-run account of one runtime
+  (:func:`build_run_report`), as tables or the ``grout-run-report/2``
+  JSON (:func:`json_run_report`).
 """
 
 from repro.obs.catalog import CATALOG, install
@@ -32,7 +35,13 @@ from repro.obs.registry import (
     MetricsRegistry,
     RunningAggregate,
 )
-from repro.obs.summary import LinkUsage, RunSummary, build_run_summary
+from repro.obs.summary import (
+    LinkUsage,
+    RunReport,
+    build_run_report,
+    json_run_report,
+    write_run_report,
+)
 
 __all__ = [
     "CATALOG",
@@ -48,14 +57,16 @@ __all__ = [
     "MetricsRegistry",
     "PHASES",
     "PhaseTotals",
-    "RunSummary",
+    "RunReport",
     "RunningAggregate",
-    "build_run_summary",
+    "build_run_report",
     "install",
+    "json_run_report",
     "metric_counter_events",
     "parse_prometheus_text",
     "registry_to_dict",
     "to_prometheus_text",
     "write_metrics_json",
     "write_prometheus",
+    "write_run_report",
 ]

@@ -5,11 +5,7 @@ import json
 
 import pytest
 
-from repro.bench.chrometrace import (
-    time_breakdown,
-    to_chrome_trace,
-    write_chrome_trace,
-)
+from repro.bench.chrometrace import to_chrome_trace, write_chrome_trace
 from repro.sim import Tracer
 
 
@@ -76,12 +72,3 @@ class TestExport:
         kinds = {e.get("cat") for e in payload["traceEvents"]}
         assert "kernel" in kinds and "transfer" in kinds
 
-
-class TestBreakdown:
-    def test_sums_per_category(self, trace):
-        breakdown = time_breakdown(trace)
-        assert breakdown["kernel"] == pytest.approx(0.004)
-        assert breakdown["transfer"] == pytest.approx(0.004)
-
-    def test_empty_trace(self):
-        assert time_breakdown(Tracer()) == {}

@@ -12,7 +12,10 @@ from repro.bench import (
     step_ratios,
 )
 from repro.bench.harness import ExperimentResult
+from repro.core.config import RuntimeConfig
+from repro.core.policies import ExplorationLevel
 from repro.gpu.specs import GIB, MIB
+from repro.sim import FaultPlan
 
 
 class TestPageSizing:
@@ -56,6 +59,37 @@ class TestDrivers:
     def test_paper_constants(self):
         assert PAPER_SIZES_GB == (4, 8, 16, 32, 64, 96, 128, 160)
         assert RUN_CAP_SECONDS == pytest.approx(9000.0)
+
+
+class TestShorthandNextToConfig:
+    """A shorthand knob set away from its default next to ``config=``
+    would be ignored, so the drivers refuse it before running."""
+
+    COMMON = [("page_size", MIB), ("seed", 3), ("uvm_backend", "gpuvm")]
+
+    @pytest.mark.parametrize("knob,value", COMMON + [
+        ("n_workers", 4), ("policy", "round-robin"),
+        ("level", ExplorationLevel.HIGH),
+        ("faults", FaultPlan.parse("flake@1.0")),
+        ("request_replacement", True), ("chunk_bytes", MIB),
+        ("collectives", True)], ids=lambda v: str(v))
+    def test_run_grout_refuses(self, knob, value):
+        with pytest.raises(ValueError, match=f"run_grout: {knob}="):
+            run_grout("mv", 2 * GIB, config=RuntimeConfig(),
+                      **{knob: value})
+
+    @pytest.mark.parametrize("knob,value", COMMON, ids=lambda v: str(v))
+    def test_run_single_node_refuses(self, knob, value):
+        with pytest.raises(ValueError, match=f"run_single_node: {knob}="):
+            run_single_node("mv", 2 * GIB, config=RuntimeConfig(),
+                            **{knob: value})
+
+    def test_defaults_next_to_a_config_run_the_config(self):
+        r = run_grout("mv", 2 * GIB, n_workers=2, policy="vector-step",
+                      config=RuntimeConfig(n_workers=3,
+                                           policy="round-robin"),
+                      check=False, n_chunks=4)
+        assert (r.n_workers, r.policy) == (3, "round-robin")
 
 
 class TestSeriesMath:

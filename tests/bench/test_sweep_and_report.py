@@ -4,11 +4,11 @@ import io
 
 import pytest
 
-from repro.bench import report_for, sweep, write_csv
+from repro.bench import sweep, write_csv
 from repro.bench.sweep import CSV_FIELDS
 from repro.core import GrCudaRuntime, GroutRuntime
 from repro.gpu import GIB, MIB, TEST_GPU_1GB
-from repro.obs import build_run_summary
+from repro.obs import build_run_report
 from repro.workloads import make_workload
 from tests.core.pipeline.test_grcuda_schedule_regression import (
     LONG_CES, long_program)
@@ -56,7 +56,7 @@ class TestRunReport:
         wl = make_workload("mv", 2 * GIB, n_chunks=4)
         rt = GroutRuntime(n_workers=2, page_size=4 * MIB)
         wl.execute(rt, check=False)
-        report = report_for(rt)
+        report = build_run_report(rt)
         assert report.makespan_seconds > 0
         assert report.network_bytes > 0
         assert report.ces_scheduled == wl.ce_count
@@ -70,7 +70,7 @@ class TestRunReport:
         wl = make_workload("bs", 1 * GIB, n_chunks=2)
         rt = GrCudaRuntime(gpu_spec=TEST_GPU_1GB)
         wl.execute(rt, check=False)
-        report = report_for(rt)
+        report = build_run_report(rt)
         assert report.network_bytes == 0
         assert report.node_oversubscription["local"] > 0
         assert report.top_kernels[0][0] == "black_scholes"
@@ -79,25 +79,20 @@ class TestRunReport:
         lambda: GroutRuntime(n_workers=2, gpu_spec=TEST_GPU_1GB),
         lambda: GrCudaRuntime(gpu_spec=TEST_GPU_1GB),
     ], ids=["grout", "grcuda"])
-    def test_both_builders_count_every_submitted_ce(self, make_runtime):
+    def test_report_counts_every_submitted_ce(self, make_runtime):
         """Host CEs and pruned CEs count too, and the count outlives
-        shutdown: both builders read the host API's one CE count."""
+        shutdown: the report reads the host API's one CE count."""
         rt = make_runtime()
         long_program(rt)
-
-        def counts():
-            return (report_for(rt).ces_scheduled,
-                    build_run_summary(rt).ces_scheduled)
-
-        assert counts() == (LONG_CES, LONG_CES)
+        assert build_run_report(rt).ces_scheduled == LONG_CES
         rt.shutdown()
-        assert counts() == (LONG_CES, LONG_CES)
+        assert build_run_report(rt).ces_scheduled == LONG_CES
 
     def test_busy_breakdown_covers_kernels_and_transfers(self):
         wl = make_workload("mv", 2 * GIB, n_chunks=4)
         rt = GroutRuntime(n_workers=2, page_size=4 * MIB)
         wl.execute(rt, check=False)
-        breakdown = report_for(rt).busy_by_category
+        breakdown = build_run_report(rt).busy_by_category
         assert breakdown["kernel"] > 0
         assert breakdown["transfer"] > 0
 

@@ -8,6 +8,7 @@ from repro.core import controller as controller_mod
 from repro.core import GroutRuntime, RoundRobinPolicy, VectorStepPolicy
 from repro.gpu import ArrayAccess, Direction, KernelSpec, TEST_GPU_1GB
 from repro.gpu.specs import MIB
+from repro.obs import RunningAggregate
 
 
 def make_runtime(n_workers=2, policy=None):
@@ -181,7 +182,6 @@ class TestDagMaintenance:
 
 class TestRunningAggregate:
     def test_mean_is_exact(self):
-        from repro.core import RunningAggregate
         agg = RunningAggregate(capacity=4)       # smaller than the data
         samples = [float(i) for i in range(100)]
         for s in samples:
@@ -191,14 +191,12 @@ class TestRunningAggregate:
         assert agg.minimum == 0.0 and agg.maximum == 99.0
 
     def test_memory_is_bounded(self):
-        from repro.core import RunningAggregate
         agg = RunningAggregate(capacity=16)
         for i in range(10_000):
             agg.add(float(i))
         assert len(agg._reservoir) == 16
 
     def test_reservoir_is_deterministic(self):
-        from repro.core import RunningAggregate
         def fill():
             agg = RunningAggregate(capacity=8, seed=3)
             for i in range(1000):
@@ -207,7 +205,6 @@ class TestRunningAggregate:
         assert fill() == fill()
 
     def test_percentiles(self):
-        from repro.core import RunningAggregate
         agg = RunningAggregate(capacity=256)
         for i in range(101):
             agg.add(float(i))
@@ -218,19 +215,16 @@ class TestRunningAggregate:
             agg.percentile(101)
 
     def test_empty_aggregate(self):
-        from repro.core import RunningAggregate
         agg = RunningAggregate()
         assert agg.mean == 0.0
         assert agg.percentile(50) == 0.0
         assert len(agg) == 0
 
     def test_append_alias_keeps_call_sites_working(self):
-        from repro.core import RunningAggregate
         agg = RunningAggregate()
         agg.append(2.0)
         assert agg.count == 1 and agg.mean == 2.0
 
     def test_capacity_validated(self):
-        from repro.core import RunningAggregate
         with pytest.raises(ValueError):
             RunningAggregate(capacity=0)

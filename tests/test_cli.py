@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from repro.bench.chrometrace import to_chrome_trace
+from repro.bench.timeline import render_timeline
 from repro.cli import build_parser, main
+from repro.core.config import RuntimeConfig
+from repro.obs import build_run_report, json_run_report, to_prometheus_text
 
 
 class TestParser:
@@ -71,6 +75,49 @@ class TestRunCommand:
         assert main(["run", "mv", "--mode", "grout",
                      "--sessions", "0"]) == 2
         assert "--sessions must be >= 1" in capsys.readouterr().err
+
+
+class TestObservabilityOutputs:
+    """With observability flags, ``run`` builds one runtime per
+    repetition, and the printed table and every written file describe
+    the last one."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        runtimes = []
+        build = RuntimeConfig.build_runtime
+
+        def counting(config, **kwargs):
+            runtimes.append(build(config, **kwargs))
+            return runtimes[-1]
+
+        monkeypatch.setattr(RuntimeConfig, "build_runtime", counting)
+        return runtimes
+
+    @pytest.mark.parametrize("repeats", [1, 2])
+    @pytest.mark.parametrize("mode", ["grout", "grcuda"])
+    def test_every_output_describes_the_one_runtime(
+            self, mode, repeats, built, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        prom = tmp_path / "metrics.prom"
+        trace = tmp_path / "trace.json"
+        assert main(["run", "mv", "--gb", "0.5", "--mode", mode,
+                     "--policy", "round-robin", "--repeats", str(repeats),
+                     "--timeline", "--metrics", str(prom),
+                     "--chrome-trace", str(trace),
+                     "--report", str(report)]) == 0
+        assert len(built) == repeats
+        rt = built[-1]
+        out = capsys.readouterr().out
+        assert render_timeline(rt.tracer) in out
+        assert build_run_report(rt).render() in out
+        assert json.loads(report.read_text()) == \
+            json.loads(json.dumps(json_run_report(rt)))
+        assert prom.read_text() == to_prometheus_text(rt.metrics)
+        assert json.loads(trace.read_text()) == json.loads(json.dumps(
+            to_chrome_trace(rt.tracer, metrics=rt.metrics)))
+        if repeats == 1:
+            assert f"{rt.elapsed:.4g} s" in out
 
 
 class TestRefusedConfigurations:

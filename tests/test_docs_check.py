@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.config import RuntimeConfig
 from repro.core.runtime import HostRuntime
-from repro.obs import CATALOG, PHASES
+from repro.obs import CATALOG, PHASES, RunReport
 from repro.sim import CATEGORIES
 from repro.uvm import PAGING_BACKENDS
 from repro.workloads import WORKLOADS
@@ -69,6 +69,18 @@ def test_observability_documents_every_phase_and_category():
         assert f"`{phase}`" in text, f"phase {phase} undocumented"
     for category in CATEGORIES:
         assert f"`{category}`" in text, f"category {category} undocumented"
+
+
+def test_observability_documents_every_run_report_key():
+    """The OBSERVABILITY.md run-report table has one row per key of
+    ``RunReport.as_dict()``: none undocumented, no ghost, no duplicate."""
+    section = _section(OBSERVABILITY.read_text(encoding="utf-8"),
+                       "### Run report")
+    rows = _TABLE_KEY_RE.findall(section)
+    keys = set(RunReport().as_dict())
+    assert len(rows) == len(set(rows)), "a key documented twice"
+    assert keys - set(rows) == set(), "undocumented run-report keys"
+    assert set(rows) - keys == set(), "docs mention ghost run-report keys"
 
 
 def test_workloads_handbook_catalogues_every_workload():

@@ -7,8 +7,10 @@ settling ``bs`` and ``img`` requests on a service must all leave SciPy
 unloaded: their special function and stencils come from
 :mod:`repro.numerics`, on NumPy alone.  Each case starts a fresh
 interpreter with ``PYTHONPATH=src`` and checks module names only, never
-times.  A last check keeps ``pyproject.toml``'s runtime dependencies
-equal to the third-party packages ``src/repro`` imports.
+times.  The same probe checks that ``repro.obs``, both runtimes and
+their JSON run reports leave ``repro.bench`` unloaded.  A last check
+keeps ``pyproject.toml``'s runtime dependencies equal to the third-party
+packages ``src/repro`` imports.
 """
 
 from __future__ import annotations
@@ -25,26 +27,29 @@ import textwrap
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: Prints which SciPy modules the child holds, as JSON, on its last line.
+#: Prints which modules of ``{package}`` the child holds, as JSON, on
+#: its last line.
 _REPORT = """
 import json as _json, sys as _sys
 print(_json.dumps(sorted(m for m in _sys.modules
-                         if m.partition(".")[0] == "scipy")))
+                         if (m + ".").startswith("{package}."))))
 """
 
 
-def _scipy_modules_after(code: str) -> list[str]:
-    """Run ``code`` in a fresh interpreter; the SciPy modules it left."""
+def _modules_after(code: str, package: str = "scipy") -> list[str]:
+    """Run ``code`` in a fresh interpreter; the ``package`` modules it
+    holds afterwards (SciPy's by default)."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code) + _REPORT],
+        [sys.executable, "-c",
+         textwrap.dedent(code) + _REPORT.format(package=package)],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_entry_points_and_a_service_leave_scipy_unloaded():
-    loaded = _scipy_modules_after("""
+    loaded = _modules_after("""
         import repro, repro.workloads, repro.cli, repro.polyglot
         from repro.serve import GroutService
         GroutService().close()
@@ -53,7 +58,7 @@ def test_entry_points_and_a_service_leave_scipy_unloaded():
 
 
 def test_fig7_workloads_run_without_scipy():
-    loaded = _scipy_modules_after("""
+    loaded = _modules_after("""
         from repro.bench.harness import run_grout, run_single_node
         from repro.gpu.specs import GIB
         for name in ("mv", "cg", "mle"):
@@ -65,7 +70,7 @@ def test_fig7_workloads_run_without_scipy():
 
 
 def test_bs_img_kernelc_and_served_requests_run_without_scipy():
-    loaded = _scipy_modules_after("""
+    loaded = _modules_after("""
         import math
         import numpy as np
         from repro.bench.harness import run_grout
@@ -102,6 +107,22 @@ def test_bs_img_kernelc_and_served_requests_run_without_scipy():
     """)
     assert loaded == [], (
         f"bs, img, kernel C or a service loaded SciPy: {loaded[:5]}")
+
+
+def test_obs_and_both_runtimes_leave_repro_bench_unloaded():
+    """Importing ``repro.bench`` costs every runtime-building process
+    tens of milliseconds; ``repro.obs``, both runtimes and their JSON
+    run reports need none of it."""
+    loaded = _modules_after("""
+        import repro.obs
+        from repro.core.config import RuntimeConfig
+        for mode in ("grout", "grcuda"):
+            runtime = RuntimeConfig(mode=mode,
+                                    policy="round-robin").build_runtime()
+            repro.obs.json_run_report(runtime)
+            runtime.shutdown()
+    """, package="repro.bench")
+    assert loaded == [], f"repro.bench loaded: {loaded[:5]}"
 
 
 def _declared_dependencies() -> set[str]:
